@@ -14,10 +14,9 @@
 //! build when the aggregate `recovery_p99_ns` on the `workload=all` row
 //! grows more than 50% over the committed baseline.
 
-use std::path::PathBuf;
-
 use arb_bench::json::JsonLine;
 use arb_chaos::{percentile, run_soak, standard_plan, SoakConfig, SoakOutcome};
+use arb_journal::TempDir;
 use arb_workloads::{find, ScenarioConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -29,25 +28,9 @@ const TICKS: usize = 32;
 /// noisy p99 for the trend gate.
 const SEEDS_PER_WORKLOAD: u64 = 3;
 
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("arbloops-chaos-bench-{tag}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 fn soak(workload: &str, seed: u64) -> SoakOutcome {
     let spec = find(workload).expect("workload in catalog");
-    let scratch = Scratch::new(&format!("{workload}-{seed}"));
+    let scratch = TempDir::new(&format!("chaos-bench-{workload}-{seed}")).expect("scratch dir");
     let config = SoakConfig {
         scenario: ScenarioConfig {
             seed,
@@ -57,7 +40,7 @@ fn soak(workload: &str, seed: u64) -> SoakOutcome {
             ticks: TICKS,
             intensity: 1.0,
         },
-        ..SoakConfig::new(&scratch.0)
+        ..SoakConfig::new(scratch.path())
     };
     let plan = standard_plan(seed, TICKS as u64);
     run_soak(spec, &config, plan, None).expect("soak completes")

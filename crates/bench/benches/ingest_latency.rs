@@ -37,7 +37,7 @@ use std::time::Instant;
 use arb_bench::json::JsonLine;
 use arb_engine::{OpportunityPipeline, PipelineConfig, RuntimeReport, ShardedRuntime};
 use arb_ingest::{IngestConfig, IngestDriver, Ingestor, LagPolicy};
-use arb_journal::{JournalConfig, JournalWriter};
+use arb_journal::{JournalConfig, JournalWriter, TempDir};
 use arb_workloads::{find, Scenario, ScenarioConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -69,23 +69,6 @@ fn runtime(scenario: &Scenario) -> ShardedRuntime {
         SHARDS,
     )
     .expect("sharded runtime")
-}
-
-/// A scratch journal directory, removed on drop.
-struct Scratch(std::path::PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("arbloops-ingest-bench-{tag}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// The direct-path oracle: final report after replaying every tick.
@@ -144,9 +127,9 @@ struct LiveLeg {
 /// driver returning the updated rankings — seal, journal append+commit,
 /// coalesce, queue hop, and engine apply all inside the window.
 fn run_live(scenario: &Scenario, tag: &str) -> LiveLeg {
-    let scratch = Scratch::new(tag);
+    let scratch = TempDir::new(&format!("ingest-bench-{tag}")).expect("scratch dir");
     let writer = JournalWriter::open(
-        &scratch.0,
+        scratch.path(),
         JournalConfig {
             sync_on_commit: false,
             ..JournalConfig::default()

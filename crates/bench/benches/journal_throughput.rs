@@ -17,11 +17,10 @@
 //! JSON counter line feeds the `BENCH_journal.json` trend artifact.
 
 use std::fs;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use arb_engine::{ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, ShardedRuntime};
-use arb_journal::{JournalConfig, JournalWriter, Recovery, SnapshotStore};
+use arb_journal::{JournalConfig, JournalWriter, Recovery, SnapshotStore, TempDir};
 use arb_workloads::{find, Scenario, ScenarioConfig};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -53,13 +52,8 @@ fn pipeline() -> OpportunityPipeline {
     })
 }
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "arbloops-journal-bench-{}-{name}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+fn scratch(name: &str) -> TempDir {
+    TempDir::new(&format!("journal-bench-{name}")).expect("scratch dir")
 }
 
 fn journal_config() -> JournalConfig {
@@ -73,7 +67,7 @@ fn journal_config() -> JournalConfig {
 fn bench_append(c: &mut Criterion) {
     let scenario = scenario();
     let dir = scratch("append");
-    let mut writer = JournalWriter::open(&dir, journal_config()).expect("writer");
+    let mut writer = JournalWriter::open(dir.path(), journal_config()).expect("writer");
     let mut group = c.benchmark_group("journal/append");
     group.sample_size(20);
     let mut tick = 0usize;
@@ -86,7 +80,6 @@ fn bench_append(c: &mut Criterion) {
         })
     });
     group.finish();
-    let _ = fs::remove_dir_all(&dir);
 }
 
 fn assert_identical(recovered: &[ArbitrageOpportunity], expected: &[ArbitrageOpportunity]) {
@@ -109,8 +102,8 @@ fn journal_counters(_c: &mut Criterion) {
     let dir = scratch("counters");
 
     // Live run: journal everything, checkpoint at the halfway tick.
-    let mut writer = JournalWriter::open(&dir, journal_config()).expect("writer");
-    let store = SnapshotStore::new(&dir).expect("store");
+    let mut writer = JournalWriter::open(dir.path(), journal_config()).expect("writer");
+    let store = SnapshotStore::new(dir.path()).expect("store");
     let mut runtime =
         ShardedRuntime::new(pipeline(), scenario.pools.clone(), SHARDS).expect("runtime");
     let mut feed = scenario.feed.clone();
@@ -140,7 +133,7 @@ fn journal_counters(_c: &mut Criterion) {
 
     // Snapshot recovery.
     let recovery_start = Instant::now();
-    let recovered = Recovery::new(&dir, pipeline(), SHARDS)
+    let recovered = Recovery::new(dir.path(), pipeline(), SHARDS)
         .with_genesis_pools(scenario.pools.clone())
         .recover(&feed)
         .expect("recover");
@@ -160,7 +153,7 @@ fn journal_counters(_c: &mut Criterion) {
         fs::remove_file(path).expect("remove snapshot");
     }
     let genesis_start = Instant::now();
-    let genesis = Recovery::new(&dir, pipeline(), SHARDS)
+    let genesis = Recovery::new(dir.path(), pipeline(), SHARDS)
         .with_genesis_pools(scenario.pools.clone())
         .recover(&feed)
         .expect("genesis recover");
@@ -190,7 +183,6 @@ fn journal_counters(_c: &mut Criterion) {
         genesis.stats.events_replayed,
         genesis_ns,
     );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 criterion_group!(benches, bench_append, journal_counters);

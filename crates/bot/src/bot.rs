@@ -7,7 +7,6 @@ use arb_core::monetize::Usd;
 use arb_core::{ConvexOptimization, MaxMax};
 use arb_dexsim::chain::{Chain, EventCursor};
 use arb_dexsim::state::AccountId;
-use arb_dexsim::tx::Transaction;
 use arb_engine::{
     ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, RuntimeStats, ScreenTotals,
     ShardLoads, ShardedRuntime, SharedStrategy, StreamStats, StreamingEngine,
@@ -299,37 +298,12 @@ impl ArbBot {
             ScanMode::Sharded => self.sharded_opportunities(chain, feed)?,
         };
         self.publish(&opportunities);
-        let action = self.execute_best(chain, &opportunities)?;
+        let action = execution::submit_best(chain, self.account, &opportunities)?;
         drop(step_span);
         if let Some(obs) = &mut self.obs {
             obs.after_step(matches!(action, BotAction::Submitted { .. }));
         }
         Ok(action)
-    }
-
-    /// Submits a flash bundle for the best executable opportunity in the
-    /// ranking, skipping loops that rounding collapsed.
-    fn execute_best(
-        &self,
-        chain: &mut Chain,
-        opportunities: &[ArbitrageOpportunity],
-    ) -> Result<BotAction, BotError> {
-        for opportunity in opportunities {
-            let steps = execution::opportunity_bundle(chain, opportunity)?;
-            if steps.len() < opportunity.cycle.len() {
-                // Rounding collapsed a hop; try the next-ranked loop
-                // rather than submit a broken bundle.
-                continue;
-            }
-            let expected = opportunity.gross_profit;
-            let hops = steps.len();
-            chain.submit(Transaction::FlashBundle {
-                account: self.account,
-                steps,
-            });
-            return Ok(BotAction::Submitted { expected, hops });
-        }
-        Ok(BotAction::Idle)
     }
 
     /// Publishes the ranking this step acted on, when serving is
@@ -450,6 +424,7 @@ mod tests {
     use arb_amm::fee::FeeRate;
     use arb_amm::token::TokenId;
     use arb_cex::feed::PriceTable;
+    use arb_dexsim::tx::Transaction;
     use arb_dexsim::units::to_raw;
 
     fn t(i: u32) -> TokenId {

@@ -19,12 +19,12 @@ pub enum BotError {
     Snapshot(arb_snapshot::SnapshotError),
     /// An engine failure outside the graph/strategy categories.
     Engine(arb_engine::EngineError),
-    /// Durable journaling or recovery failed (journaled mode only).
+    /// Durable journaling or recovery failed ([`crate::IngestBot`] only).
     Journal(arb_journal::JournalError),
-    /// The ingestion front-end failed (ingest mode only).
+    /// The ingestion front-end failed ([`crate::IngestBot`] only).
     Ingest(arb_ingest::IngestError),
-    /// A supervised bot panicked more times than its recovery budget
-    /// allows (supervised mode only).
+    /// An [`crate::IngestBot`] step panicked after its recovery budget
+    /// ([`crate::JournalSettings::max_recoveries`]) was spent.
     RecoveryExhausted {
         /// Recoveries performed before giving up.
         recoveries: u32,

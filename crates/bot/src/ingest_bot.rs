@@ -1,28 +1,59 @@
-//! The bot's ingest-fronted mode: one journaled multiplexed stream for
-//! chain events **and** CEX price moves.
+//! The durable bot: one journaled multiplexed stream for chain events
+//! **and** CEX price moves, checkpoints, crash recovery, and panic
+//! supervision.
 //!
-//! [`IngestBot`] replaces [`crate::JournaledBot`]'s "journal the chain,
-//! hope the feed is reproducible" split with the `arb-ingest` front-end:
+//! [`IngestBot`] runs the same per-block policy as [`crate::ArbBot`]
+//! (best executable opportunity, flash-bundle submission) behind the
+//! `arb-ingest` front-end:
 //!
 //! * every block, the CEX feed's price moves and the chain's new events
 //!   are staged on separate [`arb_ingest::Ingestor`] sources, sealed
 //!   into one deterministically ordered block, journaled **raw**, then
 //!   coalesced and applied through an [`arb_ingest::IngestDriver`];
-//! * checkpoints embed the price table and the per-source stream
-//!   positions, so [`IngestBot::recover`] rebuilds the fleet *and* the
-//!   feed from disk alone — no live price feed is needed to resume,
-//!   closing the recovery gap the journaled mode had;
-//! * the scan/execute policy is unchanged from [`crate::JournaledBot`]:
-//!   best executable opportunity per block, flash-bundle submission.
+//! * every [`JournalSettings::checkpoint_every_events`] staged events,
+//!   a snapshot of the fleet — price table and per-source stream
+//!   positions included — is written at the journal's durable tail, old
+//!   snapshots are pruned, and fully-snapshotted segments compacted;
+//! * after a crash, [`IngestBot::recover`] rebuilds the fleet *and* the
+//!   feed from disk alone — no live price feed is needed to resume —
+//!   and reports what it did as a [`RecoveryStats`] one-liner.
+//!
+//! # Panic supervision
+//!
+//! The layers below the bot turn *partial* failures into degraded but
+//! correct operation (source health quarantine, journal write retry,
+//! checkpoint deferral). What remains is a panic that kills the tick
+//! itself, e.g. inside a shard worker. [`IngestBot::step`] turns that
+//! into a bounded outage:
+//!
+//! 1. the panic is caught at the step boundary
+//!    ([`std::panic::catch_unwind`]);
+//! 2. the flight recorder (when observability is on) is dumped next to
+//!    the journal;
+//! 3. the bot rebuilds itself in place from the journal, under the same
+//!    account, and hands its observability handle and tick hook to the
+//!    rebuilt parts;
+//! 4. the step that panicked is retried. Retrying is safe: the step's
+//!    events were sealed and journaled *before* application, so the
+//!    rebuilt runtime already contains them; the retry re-offers only
+//!    the caller's feed moves, which are absolute prices (idempotent),
+//!    and drains no new chain events (the recovered cursor sits at the
+//!    journal tail).
+//!
+//! [`JournalSettings::max_recoveries`] bounds the recoveries over the
+//! bot's lifetime. A panic past the budget returns
+//! [`BotError::RecoveryExhausted`]: a fault that reproduces on every
+//! retry is a genuine bug, and retrying forever would hide it.
 
-use std::path::Path;
+use std::panic::{self, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use arb_amm::token::TokenId;
 use arb_cex::feed::PriceTable;
 use arb_dexsim::chain::{Chain, EventCursor};
 use arb_dexsim::state::AccountId;
-use arb_dexsim::tx::Transaction;
+use arb_engine::TickHook;
 use arb_ingest::{IngestConfig, IngestDriver, IngestStats, Ingestor, SourceId};
 use arb_journal::{
     JournalConfig, JournalError, JournalWriter, Recovery, RecoveryStats, SnapshotStore,
@@ -32,17 +63,56 @@ use crate::bot::{pipeline_for, BotAction};
 use crate::config::BotConfig;
 use crate::error::BotError;
 use crate::execution;
-use crate::journal::JournalSettings;
 use crate::obs::{BotObs, ExportSink, ObsConfig};
 use crate::scanner;
 
-/// An arbitrage bot fed through the `arb-ingest` front-end. See the
-/// module docs for how it differs from [`crate::JournaledBot`].
+/// Durability tuning for [`IngestBot`].
+#[derive(Debug, Clone)]
+pub struct JournalSettings {
+    /// Directory holding segments and snapshots.
+    pub dir: PathBuf,
+    /// Take a checkpoint after this many staged events.
+    pub checkpoint_every_events: usize,
+    /// Segment roll threshold ([`JournalConfig::segment_max_bytes`]).
+    pub segment_max_bytes: u64,
+    /// Snapshots retained after each checkpoint (older ones are pruned).
+    pub keep_snapshots: usize,
+    /// Panicked steps [`IngestBot::step`] recovers from over the bot's
+    /// lifetime (see the module docs). At 0, the first panic returns
+    /// [`BotError::RecoveryExhausted`].
+    pub max_recoveries: u32,
+}
+
+impl JournalSettings {
+    /// Settings with production-shaped defaults: checkpoint every 256
+    /// events, 256 KiB segments, 2 retained snapshots, no panic
+    /// recoveries.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        JournalSettings {
+            dir: dir.into(),
+            checkpoint_every_events: 256,
+            segment_max_bytes: 256 * 1024,
+            keep_snapshots: 2,
+            max_recoveries: 0,
+        }
+    }
+
+    fn journal_config(&self) -> JournalConfig {
+        JournalConfig {
+            segment_max_bytes: self.segment_max_bytes,
+            sync_on_commit: true,
+        }
+    }
+}
+
+/// An arbitrage bot whose market view survives crashes and panics. See
+/// the module docs for the lifecycle.
 #[derive(Debug)]
 pub struct IngestBot {
     account: AccountId,
     config: BotConfig,
     settings: JournalSettings,
+    ingest: IngestConfig,
     ingestor: Ingestor,
     driver: IngestDriver,
     feed_source: SourceId,
@@ -53,24 +123,18 @@ pub struct IngestBot {
     events_since_checkpoint: usize,
     checkpoints_taken: usize,
     recovery: Option<RecoveryStats>,
+    recoveries: u32,
     obs: Option<BotObs>,
-}
-
-fn journal_config(settings: &JournalSettings) -> JournalConfig {
-    JournalConfig {
-        segment_max_bytes: settings.segment_max_bytes,
-        sync_on_commit: true,
-    }
+    tick_hook: Option<Arc<dyn TickHook>>,
 }
 
 impl IngestBot {
-    /// Starts an ingest-fronted bot on a live chain. The journal
-    /// directory must be fresh: ingest offsets count the *multiplexed*
-    /// stream (feed moves included), so adopting a chain-only journal
-    /// would silently misalign every snapshot. The initial feed and the
-    /// chain's full event history are journaled first — sorted feed
-    /// prices, then chain history — giving recovery a self-contained
-    /// genesis prefix.
+    /// Starts a durable bot on a live chain. The journal directory must
+    /// be fresh: ingest offsets count the *multiplexed* stream (feed
+    /// moves included), so adopting any other journal would silently
+    /// misalign every snapshot. The initial feed and the chain's full
+    /// event history are journaled first — sorted feed prices, then
+    /// chain history — giving recovery a self-contained genesis prefix.
     ///
     /// # Errors
     ///
@@ -84,7 +148,7 @@ impl IngestBot {
         settings: JournalSettings,
         ingest: IngestConfig,
     ) -> Result<Self, BotError> {
-        let writer = JournalWriter::open(&settings.dir, journal_config(&settings))
+        let writer = JournalWriter::open(&settings.dir, settings.journal_config())
             .map_err(JournalError::from)?;
         if writer.next_offset() != 0 {
             return Err(BotError::Journal(JournalError::Corrupt(
@@ -122,6 +186,7 @@ impl IngestBot {
             account: chain.create_account(),
             config,
             settings,
+            ingest,
             ingestor,
             driver,
             feed_source,
@@ -132,15 +197,19 @@ impl IngestBot {
             events_since_checkpoint: 0,
             checkpoints_taken: 0,
             recovery: None,
+            recoveries: 0,
             obs: None,
+            tick_hook: None,
         })
     }
 
-    /// Rebuilds an ingest-fronted bot after a crash **from disk alone**:
-    /// no live price feed is passed — the journal's inline `FeedPrice`
+    /// Rebuilds a durable bot after a crash **from disk alone**: no
+    /// live price feed is passed — the journal's inline `FeedPrice`
     /// stream and the snapshot's embedded price table reconstruct it.
     /// Chain events the chain emitted while the bot was down are
     /// ingested (journaled, sealed, applied) before this returns.
+    /// [`IngestBot::recovery_stats`] reports what happened — print it,
+    /// it is the operator's recovery line.
     ///
     /// # Errors
     ///
@@ -156,7 +225,10 @@ impl IngestBot {
     }
 
     /// [`IngestBot::recover`], resuming the pre-crash bot's `account`
-    /// instead of registering a fresh one.
+    /// instead of registering a fresh one — so the profits the dead
+    /// process banked keep accruing to the same balance sheet. The
+    /// account id is chain state, not journal state; persist it however
+    /// the deployment persists its other operator config.
     ///
     /// # Errors
     ///
@@ -178,7 +250,7 @@ impl IngestBot {
         ingest: IngestConfig,
         account: Option<AccountId>,
     ) -> Result<Self, BotError> {
-        let writer = JournalWriter::open(&settings.dir, journal_config(&settings))
+        let writer = JournalWriter::open(&settings.dir, settings.journal_config())
             .map_err(JournalError::from)?;
         let writer = Arc::new(Mutex::new(writer));
 
@@ -206,6 +278,7 @@ impl IngestBot {
             account: account.unwrap_or_else(|| chain.create_account()),
             config,
             settings,
+            ingest,
             ingestor,
             driver,
             feed_source,
@@ -216,7 +289,9 @@ impl IngestBot {
             events_since_checkpoint: 0,
             checkpoints_taken: 0,
             recovery: Some(recovered.stats),
+            recoveries: 0,
             obs: None,
+            tick_hook: None,
         };
         // Catch up on blocks mined while the bot was down: journal and
         // apply them now so the first step sees a current fleet.
@@ -238,7 +313,12 @@ impl IngestBot {
     /// directory, a panic hook is installed that dumps the flight
     /// recorder to the journal directory on crash, next to the journal
     /// the post-mortem will replay. A recovery that built this bot is
-    /// reported under `journal.*`. Idempotent.
+    /// reported under `journal.*`.
+    ///
+    /// The registry, the recorder and the one panic hook live as long
+    /// as the bot: a supervised rebuild re-wires them rather than
+    /// replacing them, counts itself in `bot.recoveries`, and the hook
+    /// always dumps the live recorder. Idempotent.
     pub fn enable_observability(&mut self, mut config: ObsConfig) {
         if self.obs.is_some() {
             return;
@@ -246,13 +326,8 @@ impl IngestBot {
         if config.panic_dump_dir.is_none() {
             config.panic_dump_dir = Some(self.settings.dir.clone());
         }
-        let bot_obs = BotObs::new(&config);
-        self.ingestor.set_obs(bot_obs.obs());
-        self.driver.set_obs(bot_obs.obs());
-        if let Some(recovery) = &self.recovery {
-            recovery.record(bot_obs.obs());
-        }
-        self.obs = Some(bot_obs);
+        self.obs = Some(BotObs::new(&config));
+        self.wire();
     }
 
     /// The shared observability handle (`None` until
@@ -277,7 +352,16 @@ impl IngestBot {
         }
     }
 
-    /// The bot's account.
+    /// Installs an [`arb_engine::TickHook`] on the underlying sharded
+    /// runtime — the seam chaos tests use to inject slow ticks and
+    /// mid-tick panics into a live bot. The hook is re-installed after
+    /// every supervised rebuild.
+    pub fn set_tick_hook(&mut self, hook: Arc<dyn TickHook>) {
+        self.driver.runtime_mut().set_tick_hook(Arc::clone(&hook));
+        self.tick_hook = Some(hook);
+    }
+
+    /// The bot's account (stable across recoveries).
     pub fn account(&self) -> AccountId {
         self.account
     }
@@ -297,7 +381,8 @@ impl IngestBot {
         self.driver.feed()
     }
 
-    /// Front-end counters (coalescing, queue depth, stalls).
+    /// Front-end counters (coalescing, queue depth, stalls) since the
+    /// last (re)build.
     pub fn ingest_stats(&self) -> IngestStats {
         self.ingestor.stats()
     }
@@ -307,10 +392,16 @@ impl IngestBot {
         &self.driver
     }
 
-    /// How the last [`IngestBot::recover`] went (`None` after
-    /// [`IngestBot::attach`]).
+    /// How the last recovery went — [`IngestBot::recover`] or a
+    /// supervised rebuild (`None` after [`IngestBot::attach`] until the
+    /// first panic).
     pub fn recovery_stats(&self) -> Option<&RecoveryStats> {
         self.recovery.as_ref()
+    }
+
+    /// Supervised panic recoveries performed so far.
+    pub fn recoveries(&self) -> u32 {
+        self.recoveries
     }
 
     /// Checkpoints written since this process started.
@@ -321,33 +412,47 @@ impl IngestBot {
     /// One decision step: stage this block's feed moves and chain
     /// events, seal them into one journaled block, apply it through the
     /// driver, checkpoint if due, and submit a flash bundle for the best
-    /// executable opportunity.
+    /// executable opportunity. A panic anywhere inside triggers the
+    /// supervision protocol of the module docs and a retry of this step.
     ///
     /// # Errors
     ///
     /// Fails on journal write errors, engine failures, or bundle
     /// construction failures — not on unprofitable markets
-    /// ([`BotAction::Idle`]).
+    /// ([`BotAction::Idle`]). Returns [`BotError::RecoveryExhausted`]
+    /// when a panic lands after the recovery budget is spent (the bot
+    /// is then left as the panic left it), and recovery's own errors
+    /// when the rebuild fails.
     pub fn step(
+        &mut self,
+        chain: &mut Chain,
+        feed_moves: &[(TokenId, f64)],
+    ) -> Result<BotAction, BotError> {
+        loop {
+            match panic::catch_unwind(AssertUnwindSafe(|| self.try_step(chain, feed_moves))) {
+                Ok(result) => return result,
+                Err(_) if self.recoveries >= self.settings.max_recoveries => {
+                    return Err(BotError::RecoveryExhausted {
+                        recoveries: self.recoveries,
+                    });
+                }
+                Err(_) => {
+                    self.recoveries += 1;
+                    self.rebuild(chain)?;
+                }
+            }
+        }
+    }
+
+    /// [`IngestBot::step`] without the panic supervision.
+    fn try_step(
         &mut self,
         chain: &mut Chain,
         feed_moves: &[(TokenId, f64)],
     ) -> Result<BotAction, BotError> {
         let step_timer = self.obs.as_ref().map(BotObs::step_timer);
         let step_span = step_timer.as_ref().map(arb_obs::SpanTimer::start);
-        let action = self.step_inner(chain, feed_moves)?;
-        drop(step_span);
-        if let Some(obs) = &mut self.obs {
-            obs.after_step(matches!(action, BotAction::Submitted { .. }));
-        }
-        Ok(action)
-    }
 
-    fn step_inner(
-        &mut self,
-        chain: &mut Chain,
-        feed_moves: &[(TokenId, f64)],
-    ) -> Result<BotAction, BotError> {
         self.ingestor
             .offer_feed_moves(self.feed_source, feed_moves)?;
         let events = chain.drain_events(&mut self.cursor);
@@ -361,31 +466,69 @@ impl IngestBot {
             self.checkpoint()?;
         }
 
-        let Some(report) = report else {
-            return Ok(BotAction::Idle);
+        let action = match report {
+            Some(report) => execution::submit_best(chain, self.account, &report.opportunities)?,
+            None => BotAction::Idle,
         };
-        for opportunity in &report.opportunities {
-            let steps = execution::opportunity_bundle(chain, opportunity)?;
-            if steps.len() < opportunity.cycle.len() {
-                // Rounding collapsed a hop; try the next-ranked loop.
-                continue;
-            }
-            let expected = opportunity.gross_profit;
-            let hops = steps.len();
-            chain.submit(Transaction::FlashBundle {
-                account: self.account,
-                steps,
-            });
-            return Ok(BotAction::Submitted { expected, hops });
+        drop(step_span);
+        if let Some(obs) = &mut self.obs {
+            obs.after_step(matches!(action, BotAction::Submitted { .. }));
         }
-        Ok(BotAction::Idle)
+        Ok(action)
+    }
+
+    /// The supervised recovery: dump the flight trail, rebuild from the
+    /// journal under the same account, and carry the observability
+    /// handle, tick hook and counters over to the rebuilt bot.
+    fn rebuild(&mut self, chain: &mut Chain) -> Result<(), BotError> {
+        // The panic hook (when installed) already dumped at panic time;
+        // dump again so the trail exists even when the embedding
+        // application replaced the global hook.
+        if let Some(obs) = self.obs() {
+            let _ = obs.dump_flight_to(&self.settings.dir.join(arb_obs::FLIGHT_DUMP_FILE));
+        }
+        let mut rebuilt = Self::recover_impl(
+            chain,
+            self.config,
+            self.settings.clone(),
+            self.ingest,
+            Some(self.account),
+        )?;
+        rebuilt.recoveries = self.recoveries;
+        rebuilt.checkpoints_taken = self.checkpoints_taken;
+        rebuilt.obs = self.obs.take();
+        rebuilt.tick_hook = self.tick_hook.take();
+        rebuilt.wire();
+        if let Some(obs) = rebuilt.obs() {
+            obs.registry().counter("bot.recoveries").inc();
+        }
+        *self = rebuilt;
+        Ok(())
+    }
+
+    /// Hands the bot's observability handle and tick hook to the parts
+    /// it owns: on [`IngestBot::enable_observability`], and again after
+    /// a supervised rebuild replaced those parts.
+    fn wire(&mut self) {
+        if let Some(bot_obs) = &self.obs {
+            self.ingestor.set_obs(bot_obs.obs());
+            self.driver.set_obs(bot_obs.obs());
+            if let Some(recovery) = &self.recovery {
+                recovery.record(bot_obs.obs());
+            }
+        }
+        if let Some(hook) = &self.tick_hook {
+            self.driver.runtime_mut().set_tick_hook(Arc::clone(hook));
+        }
     }
 
     /// Writes a snapshot of the fleet — including the price table and
     /// per-source positions — at the journal's durable tail, prunes old
-    /// snapshots, and compacts segments below the oldest retained one.
-    /// Called automatically by [`IngestBot::step`]; public for shutdown
-    /// hooks.
+    /// snapshots, and compacts journal segments below the **oldest
+    /// retained** snapshot — every kept snapshot stays replayable, so if
+    /// the newest one rots on disk, recovery can fall back to its
+    /// predecessor. Called automatically by [`IngestBot::step`]; public
+    /// for shutdown hooks.
     ///
     /// When the journal is running behind (events appended but not yet
     /// durably committed, e.g. while the writer is in degraded mode),
@@ -424,15 +567,6 @@ impl IngestBot {
         self.events_since_checkpoint = 0;
         Ok(())
     }
-
-    /// Installs an [`arb_engine::TickHook`] on the underlying sharded
-    /// runtime — the seam chaos tests use to inject slow ticks and
-    /// mid-tick panics into a live bot. Hooks do not survive recovery
-    /// (the runtime is rebuilt from disk); [`crate::SupervisedBot`]
-    /// re-installs its hook after every supervised restart.
-    pub fn set_tick_hook(&mut self, hook: Arc<dyn arb_engine::TickHook>) {
-        self.driver.runtime_mut().set_tick_hook(hook);
-    }
 }
 
 #[cfg(test)]
@@ -440,29 +574,14 @@ mod tests {
     use super::*;
     use arb_amm::fee::FeeRate;
     use arb_amm::pool::PoolId;
+    use arb_chaos::{ChaosInjector, ChaosTickHook, FaultKind, FaultPlan};
+    use arb_dexsim::tx::Transaction;
     use arb_dexsim::units::to_raw;
+    use arb_journal::{JournalReader, TempDir};
     use std::fs;
-    use std::path::PathBuf;
 
     fn t(i: u32) -> TokenId {
         TokenId::new(i)
-    }
-
-    struct Scratch(PathBuf);
-
-    impl Scratch {
-        fn new(name: &str) -> Self {
-            let dir =
-                std::env::temp_dir().join(format!("arbloops-ibot-{}-{name}", std::process::id()));
-            let _ = fs::remove_dir_all(&dir);
-            Scratch(dir)
-        }
-    }
-
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
     }
 
     fn paper_chain() -> Chain {
@@ -486,11 +605,34 @@ mod tests {
             .collect()
     }
 
-    fn settings(scratch: &Scratch, checkpoint_every: usize) -> JournalSettings {
+    fn scratch(label: &str) -> TempDir {
+        TempDir::new(label).unwrap()
+    }
+
+    fn settings(dir: &TempDir, checkpoint_every: usize) -> JournalSettings {
         JournalSettings {
             checkpoint_every_events: checkpoint_every,
-            ..JournalSettings::new(&scratch.0)
+            ..JournalSettings::new(dir.path())
         }
+    }
+
+    /// A paper-market chain plus a funded whale account.
+    fn whale_chain() -> (Chain, AccountId) {
+        let mut chain = paper_chain();
+        let whale = chain.create_account();
+        chain.mint(whale, t(0), to_raw(1_000.0));
+        (chain, whale)
+    }
+
+    fn attach(chain: &mut Chain, settings: JournalSettings) -> IngestBot {
+        IngestBot::attach(
+            chain,
+            &paper_feed(),
+            BotConfig::default(),
+            settings,
+            IngestConfig::default(),
+        )
+        .unwrap()
     }
 
     /// Per-block feed drift, a pure function of the global block index so
@@ -499,8 +641,10 @@ mod tests {
         vec![(t(1), 10.2 + 0.05 * block as f64)]
     }
 
-    /// Drives whale-perturbed blocks through a stepper, mining the bot's
-    /// submissions, and returns the decision trace.
+    /// Drives whale-perturbed blocks (sized by their global block index,
+    /// so a split run perturbs exactly like a continuous one) through a
+    /// stepper, mining the bot's submissions, and returns the decision
+    /// trace.
     fn drive<S: FnMut(&mut Chain, &[(TokenId, f64)]) -> BotAction>(
         chain: &mut Chain,
         whale: AccountId,
@@ -529,59 +673,59 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn ingest_bot_recovers_without_a_live_feed_and_decides_identically() {
-        let scratch = Scratch::new("crash");
-
-        // The never-crashed oracle: one bot across all 8 blocks.
-        let mut oracle_chain = paper_chain();
-        let whale = oracle_chain.create_account();
-        oracle_chain.mint(whale, t(0), to_raw(1_000.0));
-        let oracle_scratch = Scratch::new("crash-oracle");
-        let mut oracle = IngestBot::attach(
-            &mut oracle_chain,
-            &paper_feed(),
-            BotConfig::default(),
-            settings(&oracle_scratch, 4),
-            IngestConfig::default(),
-        )
-        .unwrap();
-        let oracle_actions = drive(&mut oracle_chain, whale, 0..8, |chain, moves| {
+    /// The never-faulted oracle: one bot across blocks `0..8`. Returns
+    /// its decision trace and the final chain digest.
+    fn oracle_run() -> (Vec<Option<(u64, usize)>>, u64) {
+        let dir = scratch("ibot-oracle");
+        let (mut chain, whale) = whale_chain();
+        let mut oracle = attach(&mut chain, settings(&dir, 4));
+        let actions = drive(&mut chain, whale, 0..8, |chain, moves| {
             oracle.step(chain, moves).unwrap()
         });
+        (actions, chain.state().digest())
+    }
+
+    #[test]
+    fn ingest_bot_recovers_without_a_live_feed_and_decides_identically() {
+        let dir = scratch("ibot-crash");
+        let (oracle_actions, oracle_digest) = oracle_run();
 
         // The crashing run: same chain history, bot dies after block 4.
-        let mut chain = paper_chain();
-        let whale = chain.create_account();
-        chain.mint(whale, t(0), to_raw(1_000.0));
-        let mut bot = IngestBot::attach(
-            &mut chain,
-            &paper_feed(),
-            BotConfig::default(),
-            settings(&scratch, 4),
-            IngestConfig::default(),
-        )
-        .unwrap();
+        let (mut chain, whale) = whale_chain();
+        let mut bot = attach(&mut chain, settings(&dir, 4));
         assert!(bot.recovery_stats().is_none());
         let mut first_half = drive(&mut chain, whale, 0..4, |chain, moves| {
             bot.step(chain, moves).unwrap()
         });
         assert!(bot.checkpoints_taken() > 0, "checkpoints were due");
         let pre_crash_account = bot.account();
-        drop(bot); // 💥 no sink on the chain: events pile up un-journaled
+        drop(bot); // 💥 events keep piling up on the chain, un-journaled
 
         // NO feed is passed here — the whole point of the ingest stream.
         let mut bot = IngestBot::recover_as(
             &mut chain,
             BotConfig::default(),
-            settings(&scratch, 4),
+            settings(&dir, 4),
             IngestConfig::default(),
             pre_crash_account,
         )
         .unwrap();
-        assert_eq!(bot.account(), pre_crash_account);
+        assert_eq!(
+            bot.account(),
+            pre_crash_account,
+            "recovery resumes the balance sheet, not a fresh account"
+        );
         let stats = *bot.recovery_stats().expect("recovered");
         assert!(stats.snapshot_offset.is_some(), "{stats}");
+        assert!(
+            stats.events_replayed < stats.journal_tail as usize,
+            "snapshot recovery must replay strictly fewer events than \
+             genesis: {stats}"
+        );
+        let line = stats.to_string();
+        assert!(line.contains("snapshot@"), "{line}");
+        assert!(line.contains("events replayed"), "{line}");
+        assert!(!line.contains('\n'), "one-liner style: {line}");
 
         // The feed was reconstructed from disk: last pre-crash drift
         // applied at block 3.
@@ -609,24 +753,15 @@ mod tests {
             first_half.iter().any(Option::is_some),
             "perturbations should open executable opportunities"
         );
-        assert_eq!(chain.state().digest(), oracle_chain.state().digest());
+        assert_eq!(chain.state().digest(), oracle_digest);
     }
 
     #[test]
     fn recovery_bootstraps_from_the_journaled_genesis_prefix() {
-        let scratch = Scratch::new("genesis");
-        let mut chain = paper_chain();
-        let whale = chain.create_account();
-        chain.mint(whale, t(0), to_raw(1_000.0));
+        let dir = scratch("ibot-genesis");
+        let (mut chain, whale) = whale_chain();
         // Huge checkpoint interval: the bot dies before any snapshot.
-        let mut bot = IngestBot::attach(
-            &mut chain,
-            &paper_feed(),
-            BotConfig::default(),
-            settings(&scratch, 10_000),
-            IngestConfig::default(),
-        )
-        .unwrap();
+        let mut bot = attach(&mut chain, settings(&dir, 10_000));
         drive(&mut chain, whale, 0..3, |chain, moves| {
             bot.step(chain, moves).unwrap()
         });
@@ -636,7 +771,7 @@ mod tests {
         let bot = IngestBot::recover(
             &mut chain,
             BotConfig::default(),
-            settings(&scratch, 10_000),
+            settings(&dir, 10_000),
             IngestConfig::default(),
         )
         .unwrap();
@@ -656,27 +791,177 @@ mod tests {
 
     #[test]
     fn attach_rejects_a_used_journal_directory() {
-        let scratch = Scratch::new("fresh");
+        let dir = scratch("ibot-fresh");
         let mut chain = paper_chain();
-        let bot = IngestBot::attach(
-            &mut chain,
-            &paper_feed(),
-            BotConfig::default(),
-            settings(&scratch, 100),
-            IngestConfig::default(),
-        )
-        .unwrap();
-        drop(bot);
+        drop(attach(&mut chain, settings(&dir, 100)));
         let mut second = paper_chain();
         let err = IngestBot::attach(
             &mut second,
             &paper_feed(),
             BotConfig::default(),
-            settings(&scratch, 100),
+            settings(&dir, 100),
             IngestConfig::default(),
         )
         .unwrap_err();
         assert!(matches!(err, BotError::Journal(_)), "{err:?}");
         assert!(err.to_string().contains("fresh journal"), "{err}");
+    }
+
+    #[test]
+    fn checkpoints_compact_the_journal() {
+        let dir = scratch("ibot-compact");
+        let (mut chain, whale) = whale_chain();
+        let mut bot = attach(
+            &mut chain,
+            JournalSettings {
+                checkpoint_every_events: 2,
+                segment_max_bytes: 64, // force frequent segment rolls
+                keep_snapshots: 2,
+                ..JournalSettings::new(dir.path())
+            },
+        );
+        drive(&mut chain, whale, 0..6, |chain, moves| {
+            bot.step(chain, moves).unwrap()
+        });
+        assert!(bot.checkpoints_taken() >= 2);
+
+        let snapshots = fs::read_dir(dir.path())
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .file_name()
+                    .to_string_lossy()
+                    .starts_with("snapshot-")
+            })
+            .count();
+        assert!(
+            snapshots <= 2,
+            "pruning keeps the newest 2, saw {snapshots}"
+        );
+
+        // Compaction dropped segments below the *oldest retained*
+        // snapshot — nothing below what any kept snapshot needs.
+        let reader = JournalReader::open(dir.path()).unwrap();
+        assert!(
+            reader.base_offset() > 0,
+            "fully-snapshotted segments should be gone"
+        );
+        let oldest_retained = SnapshotStore::new(dir.path())
+            .unwrap()
+            .list()
+            .unwrap()
+            .first()
+            .map(|(offset, _)| *offset)
+            .expect("snapshots retained");
+        assert!(
+            reader.base_offset() <= oldest_retained,
+            "compaction must not strand a retained snapshot (base {} > \
+             oldest snapshot {oldest_retained})",
+            reader.base_offset()
+        );
+        // And recovery still works over the compacted journal…
+        let config = BotConfig::default();
+        let recover = || {
+            Recovery::new(dir.path(), pipeline_for(&config), config.shards)
+                .recover_journaled()
+                .unwrap()
+                .stats
+        };
+        let newest = recover().snapshot_offset.expect("snapshot used");
+        // …including when the newest snapshot rots: the retained older
+        // one must be genuinely usable, not stranded past compaction.
+        fs::remove_file(dir.path().join(format!("snapshot-{newest:020}.ckpt"))).unwrap();
+        assert_eq!(recover().snapshot_offset, Some(oldest_retained));
+    }
+
+    /// A plan with one mid-tick panic per shard-0 window tick; the tick
+    /// axis here is the runtime's batch counter (one per sealed block).
+    fn panic_plan(ticks: std::ops::Range<u64>) -> FaultPlan {
+        FaultPlan::new(42).with_window(
+            arb_chaos::site::shard(0),
+            ticks,
+            FaultKind::PanicTick,
+            1_000_000,
+        )
+    }
+
+    fn supervised(dir: &TempDir, max_recoveries: u32) -> JournalSettings {
+        JournalSettings {
+            max_recoveries,
+            ..settings(dir, 4)
+        }
+    }
+
+    #[test]
+    fn supervised_bot_survives_injected_panics_and_decides_identically() {
+        let (oracle_actions, oracle_digest) = oracle_run();
+
+        // Supervised run: identical market, one injected mid-tick panic.
+        let dir = scratch("ibot-panic");
+        let (mut chain, whale) = whale_chain();
+        let mut bot = attach(&mut chain, supervised(&dir, 4));
+        bot.enable_observability(ObsConfig::default());
+        let injector = Arc::new(ChaosInjector::new(panic_plan(2..3)));
+        bot.set_tick_hook(Arc::new(ChaosTickHook::new(Arc::clone(&injector))));
+
+        let actions = drive(&mut chain, whale, 0..8, |chain, moves| {
+            bot.step(chain, moves).unwrap()
+        });
+
+        assert!(
+            bot.recoveries() >= 1,
+            "the panic window must force a supervised recovery"
+        );
+        assert_eq!(injector.injected(), bot.recoveries() as usize);
+        assert_eq!(
+            actions, oracle_actions,
+            "a supervised panic + journal rebuild must not change a single decision"
+        );
+        assert!(
+            actions.iter().any(Option::is_some),
+            "perturbations should open executable opportunities"
+        );
+        assert_eq!(chain.state().digest(), oracle_digest);
+        assert!(
+            dir.path().join(arb_obs::FLIGHT_DUMP_FILE).is_file(),
+            "recovery leaves the flight-recorder dump next to the journal"
+        );
+        let snapshot = bot.obs().expect("obs survives the rebuild").snapshot();
+        assert_eq!(snapshot.counter("bot.recoveries"), Some(1));
+    }
+
+    #[test]
+    fn recovery_budget_exhaustion_surfaces_as_a_typed_error() {
+        let dir = scratch("ibot-budget");
+        let (mut chain, whale) = whale_chain();
+        // No budget: the first panic must surface.
+        let mut bot = attach(&mut chain, supervised(&dir, 0));
+        let injector = Arc::new(ChaosInjector::new(panic_plan(0..64)));
+        bot.set_tick_hook(Arc::new(ChaosTickHook::new(injector)));
+
+        let mut saw_exhaustion = false;
+        for i in 0..4 {
+            chain.submit(Transaction::Swap {
+                account: whale,
+                pool: PoolId::new(0),
+                token_in: t(0),
+                amount_in: to_raw(2.0),
+                min_out: 0,
+            });
+            chain.mine_block();
+            match bot.step(&mut chain, &moves_for(i)) {
+                Ok(_) => {}
+                Err(BotError::RecoveryExhausted { recoveries }) => {
+                    assert_eq!(recoveries, 0);
+                    saw_exhaustion = true;
+                    break;
+                }
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+            chain.mine_block();
+        }
+        assert!(saw_exhaustion, "the panic window must hit within 4 steps");
+        assert_eq!(bot.recoveries(), 0, "no recovery was budgeted");
     }
 }

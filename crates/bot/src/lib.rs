@@ -14,15 +14,13 @@
 //!
 //! * [`scanner`] — chain state → token graph → engine discovery run;
 //! * [`execution`] — engine opportunity → integer-exact flash bundle;
-//! * [`bot`] — the per-block policy over ranked engine opportunities;
-//! * [`journal`] — the durable mode: chain events journaled to disk,
-//!   periodic fleet checkpoints, crash recovery via `arb-journal`;
-//! * [`ingest_bot`] — the ingest-fronted mode: chain events *and* CEX
-//!   price moves multiplexed, journaled, and coalesced via `arb-ingest`,
-//!   with feed-free crash recovery;
-//! * [`supervisor`] — panic supervision over the ingest-fronted mode:
-//!   catch a mid-tick panic, dump the flight recorder, rebuild from the
-//!   journal, retry, bounded by a recovery budget;
+//! * [`bot`] — the in-memory bot: the per-block policy over ranked
+//!   engine opportunities;
+//! * [`ingest_bot`] — the durable bot: chain events *and* CEX price
+//!   moves multiplexed, journaled, and coalesced via `arb-ingest`, with
+//!   periodic checkpoints, feed-free crash recovery, and panic
+//!   supervision (rebuild from the journal and retry, bounded by a
+//!   recovery budget);
 //! * [`pnl`] — balance accounting and monetized PnL series;
 //! * [`sim`] — a deterministic market harness (noise traders + LPs + CEX
 //!   price drift + the bot) used by examples, tests, and benches.
@@ -49,17 +47,13 @@ pub mod config;
 pub mod error;
 pub mod execution;
 pub mod ingest_bot;
-pub mod journal;
 pub mod obs;
 pub mod pnl;
 pub mod scanner;
 pub mod sim;
-pub mod supervisor;
 
 pub use bot::{pipeline_for, ArbBot, BotAction, ServeTelemetry};
 pub use config::{BotConfig, ScanMode, StrategyChoice};
 pub use error::BotError;
-pub use ingest_bot::IngestBot;
-pub use journal::{JournalSettings, JournaledBot};
+pub use ingest_bot::{IngestBot, JournalSettings};
 pub use obs::{ExportSink, ObsConfig};
-pub use supervisor::SupervisedBot;

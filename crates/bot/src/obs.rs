@@ -12,6 +12,12 @@
 //! * a periodic JSON-lines export every
 //!   [`ObsConfig::export_every_steps`] steps into a caller-provided
 //!   sink callback.
+//!
+//! The handle lives as long as the bot. [`crate::IngestBot`] keeps it —
+//! registry, flight recorder, export sink and its one panic hook —
+//! across supervised recoveries and re-wires it into the rebuilt
+//! pipeline, so counters accumulate and a crash dump always shows the
+//! live recorder.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -29,9 +35,11 @@ pub struct ObsConfig {
     /// available either way).
     pub export_every_steps: usize,
     /// Install a process-wide panic hook dumping the flight recorder to
-    /// this directory on crash. [`crate::IngestBot`] defaults this to
-    /// its journal directory when unset; [`crate::ArbBot`] has no
-    /// durable directory, so `None` means no hook there.
+    /// this directory on crash — once per bot, however often
+    /// observability is enabled or the bot recovers.
+    /// [`crate::IngestBot`] defaults this to its journal directory when
+    /// unset; [`crate::ArbBot`] has no durable directory, so `None`
+    /// means no hook there.
     pub panic_dump_dir: Option<PathBuf>,
 }
 

@@ -309,8 +309,8 @@ impl EventLog {
 
     /// Decodes the single event at sequence number `offset` (0-based).
     /// Returns `None` when `offset` is at or past the end — callers
-    /// replaying the log (the `arb-journal` backfill path, tests) get a
-    /// bounds-checked lookup instead of indexing raw vectors.
+    /// replaying the log get a bounds-checked lookup instead of indexing
+    /// raw vectors.
     pub fn get(&self, offset: usize) -> Option<Event> {
         let start = *self.offsets.get(offset)?;
         let end = self

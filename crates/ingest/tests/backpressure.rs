@@ -215,11 +215,11 @@ impl arb_journal::IoShim for FailNext {
 fn journal_failures_degrade_serving_instead_of_aborting_it() {
     use std::sync::{Arc, Mutex};
 
-    use arb_journal::{JournalConfig, JournalReader, JournalWriter};
+    use arb_journal::{JournalConfig, JournalReader, JournalWriter, TempDir};
 
-    let dir = std::env::temp_dir().join(format!("arbloops-ingest-degraded-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut writer = JournalWriter::open(&dir, JournalConfig::default()).expect("open journal");
+    let dir = TempDir::new("ingest-degraded").expect("scratch dir");
+    let mut writer =
+        JournalWriter::open(dir.path(), JournalConfig::default()).expect("open journal");
     writer.set_io_shim(Box::new(FailNext(2)));
     let writer = Arc::new(Mutex::new(writer));
 
@@ -265,10 +265,9 @@ fn journal_failures_degrade_serving_instead_of_aborting_it() {
     }
     assert_eq!(delivered, vec![sync(0, 0), sync(0, 1), sync(0, 2)]);
     drop(writer);
-    let replayed = JournalReader::open(&dir)
+    let replayed = JournalReader::open(dir.path())
         .expect("reopen journal")
         .read_from(0)
         .expect("read journal");
     assert_eq!(replayed, delivered, "journal holds the raw stream");
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }

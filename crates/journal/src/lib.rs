@@ -18,8 +18,7 @@
 //! * [`JournalWriter`] — append-only segmented log of
 //!   [`arb_dexsim::events::Event`]s reusing the chain's own binary codec,
 //!   with length-prefixed CRC-32-checksummed records, one fsync per
-//!   batch, and corruption-tolerant tail recovery on reopen. Implements
-//!   [`arb_dexsim::chain::EventSink`], so a chain journals itself.
+//!   batch, and corruption-tolerant tail recovery on reopen.
 //! * [`JournalReader`] / [`JournalCursor`] — offset-addressed reads
 //!   mirroring the chain's `EventCursor` API.
 //! * [`SnapshotStore`] — atomic, checksummed persistence of
@@ -29,6 +28,8 @@
 //!   [`JournalWriter::compact_below`] to drop fully-snapshotted segments.
 //! * [`Recovery`] — restores the newest valid snapshot, replays the
 //!   suffix through the engine, and reports a [`RecoveryStats`] line.
+//! * [`TempDir`] — a uniquely named, self-removing journal directory
+//!   for tests, benches and examples.
 //!
 //! Because engine evaluation is a pure function of (reserves, feed), the
 //! recovered standing ranking is **bit-identical** to an uninterrupted
@@ -48,8 +49,8 @@
 //! use arb_journal::{JournalConfig, JournalWriter, Recovery, SnapshotStore};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let dir = std::env::temp_dir().join(format!("arbj-doc-{}", std::process::id()));
-//! # let _ = std::fs::remove_dir_all(&dir);
+//! let scratch = arb_journal::TempDir::new("journal-doc")?;
+//! let dir = scratch.path();
 //! let t = TokenId::new;
 //! let fee = FeeRate::UNISWAP_V2;
 //! let pools = vec![
@@ -62,7 +63,7 @@
 //!     .collect();
 //!
 //! // Live process: journal events, checkpoint the runtime.
-//! let mut writer = JournalWriter::open(&dir, JournalConfig::default())?;
+//! let mut writer = JournalWriter::open(dir, JournalConfig::default())?;
 //! let mut runtime = ShardedRuntime::new(OpportunityPipeline::default(), pools.clone(), 2)?;
 //! let tick = [Event::Sync {
 //!     pool: arb_amm::pool::PoolId::new(0),
@@ -72,17 +73,16 @@
 //! writer.append_batch(&tick);
 //! writer.commit()?;
 //! let live = runtime.apply_events(&tick, &feed)?;
-//! SnapshotStore::new(&dir)?.write(writer.durable_offset(), &runtime.checkpoint())?;
+//! SnapshotStore::new(dir)?.write(writer.durable_offset(), &runtime.checkpoint())?;
 //! drop((writer, runtime)); // 💥 crash
 //!
 //! // New process: restore + replay = the same ranking, bit for bit.
-//! let mut recovered = Recovery::new(&dir, OpportunityPipeline::default(), 2)
+//! let mut recovered = Recovery::new(dir, OpportunityPipeline::default(), 2)
 //!     .with_genesis_pools(pools)
 //!     .recover(&feed)?;
 //! println!("{}", recovered.stats); // "recovered from snapshot@1, …"
 //! let restored = recovered.runtime.refresh(&feed)?;
 //! assert_eq!(restored.opportunities.len(), live.opportunities.len());
-//! # std::fs::remove_dir_all(&dir)?;
 //! # Ok(())
 //! # }
 //! ```
@@ -95,6 +95,7 @@ pub mod reader;
 pub mod recovery;
 mod segment;
 pub mod snapshot;
+mod tempdir;
 pub mod writer;
 
 pub use error::JournalError;
@@ -102,4 +103,5 @@ pub use io::{IoShim, WriteVerdict};
 pub use reader::{JournalCursor, JournalReader};
 pub use recovery::{Recovered, RecoveredStream, Recovery, RecoveryStats};
 pub use snapshot::SnapshotStore;
+pub use tempdir::TempDir;
 pub use writer::{JournalConfig, JournalWriter};

@@ -4,7 +4,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use arb_dexsim::chain::EventSink;
 use arb_dexsim::events::Event;
 
 use crate::io::{IoShim, WriteVerdict};
@@ -37,9 +36,7 @@ impl Default for JournalConfig {
 /// [`JournalWriter::commit`] writes the batch to the current segment and
 /// fsyncs once — the fsync-per-batch discipline that makes journaling
 /// cheap enough to sit on the hot path. Offsets are global event
-/// sequence numbers: the first event ever appended is offset 0, matching
-/// `dexsim`'s in-memory `EventLog` sequence when the journal is attached
-/// from genesis (or backfilled).
+/// sequence numbers: the first event ever appended is offset 0.
 ///
 /// Opening an existing directory recovers the durable tail: segments are
 /// scanned in order and the journal is truncated at the first record
@@ -60,8 +57,8 @@ pub struct JournalWriter {
     pending_events: u64,
     /// Offset of the next record to become durable.
     committed: u64,
-    /// First commit failure, re-surfaced by the next `commit` call (the
-    /// [`EventSink`] path cannot propagate errors inline).
+    /// Set when a failed commit could not roll back its torn segment
+    /// tail; the next `commit` returns it instead of writing.
     deferred: Option<io::Error>,
     /// Optional fault layer consulted on the commit path (chaos tests).
     shim: Option<Box<dyn IoShim>>,
@@ -194,8 +191,8 @@ impl JournalWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`io::Error`] on write/sync failures — including one
-    /// deferred from an earlier [`EventSink`]-path commit.
+    /// Returns [`io::Error`] on write/sync failures — including the
+    /// poisoning error of an earlier commit whose rollback failed.
     pub fn commit(&mut self) -> io::Result<u64> {
         if let Some(deferred) = self.deferred.take() {
             return Err(deferred);
@@ -300,24 +297,6 @@ impl JournalWriter {
         self.segment_first = self.committed;
         self.segment_bytes = 0;
         Ok(())
-    }
-}
-
-/// Durable sink wiring: `record` frames the event, `commit` flushes the
-/// batch. A commit failure is deferred and surfaced by the next inherent
-/// [`JournalWriter::commit`] call, since the sink trait cannot return
-/// errors inline.
-impl EventSink for JournalWriter {
-    fn record(&mut self, event: &Event) {
-        self.append(event);
-    }
-
-    fn commit(&mut self) {
-        if let Err(error) = JournalWriter::commit(self) {
-            if self.deferred.is_none() {
-                self.deferred = Some(error);
-            }
-        }
     }
 }
 

@@ -3,7 +3,7 @@
 
 use std::fs::{self, OpenOptions};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use arb_amm::fee::FeeRate;
 use arb_amm::pool::{Pool, PoolId};
@@ -12,33 +12,11 @@ use arb_cex::feed::PriceTable;
 use arb_dexsim::events::Event;
 use arb_dexsim::units::to_raw;
 use arb_engine::{OpportunityPipeline, ShardedRuntime};
-use arb_journal::{JournalConfig, JournalReader, JournalWriter, Recovery, SnapshotStore};
+use arb_journal::{JournalConfig, JournalReader, JournalWriter, Recovery, SnapshotStore, TempDir};
 
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("arbloops-corrupt-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &PathBuf {
-        &self.0
-    }
-
-    /// The single segment file holding offset 0.
-    fn first_segment(&self) -> PathBuf {
-        self.0.join("segment-00000000000000000000.seg")
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
+/// The single segment file holding offset 0.
+fn first_segment(dir: &TempDir) -> PathBuf {
+    dir.path().join("segment-00000000000000000000.seg")
 }
 
 fn sync(pool: u32, a: u128, b: u128) -> Event {
@@ -49,7 +27,7 @@ fn sync(pool: u32, a: u128, b: u128) -> Event {
     }
 }
 
-fn write_events(dir: &PathBuf, events: &[Event]) {
+fn write_events(dir: &Path, events: &[Event]) {
     let mut writer = JournalWriter::open(dir, JournalConfig::default()).unwrap();
     writer.append_batch(events);
     writer.commit().unwrap();
@@ -57,8 +35,8 @@ fn write_events(dir: &PathBuf, events: &[Event]) {
 
 #[test]
 fn zero_length_segment_is_an_empty_journal() {
-    let scratch = Scratch::new("zero-length");
-    fs::write(scratch.first_segment(), []).unwrap();
+    let scratch = TempDir::new("zero-length").unwrap();
+    fs::write(first_segment(&scratch), []).unwrap();
 
     let reader = JournalReader::open(scratch.path()).unwrap();
     assert_eq!(reader.tail_offset(), 0);
@@ -78,15 +56,15 @@ fn zero_length_segment_is_an_empty_journal() {
 
 #[test]
 fn truncated_length_prefix_is_cut_at_reopen() {
-    let scratch = Scratch::new("truncated-prefix");
+    let scratch = TempDir::new("truncated-prefix").unwrap();
     let events = vec![sync(0, 1, 2), sync(1, 3, 4), sync(2, 5, 6)];
     write_events(scratch.path(), &events);
 
     // A crash mid-write leaves a partial header: 2 stray bytes.
-    let clean_len = fs::metadata(scratch.first_segment()).unwrap().len();
+    let clean_len = fs::metadata(first_segment(&scratch)).unwrap().len();
     let mut file = OpenOptions::new()
         .append(true)
-        .open(scratch.first_segment())
+        .open(first_segment(&scratch))
         .unwrap();
     file.write_all(&[0x2a, 0x00]).unwrap();
     drop(file);
@@ -96,7 +74,7 @@ fn truncated_length_prefix_is_cut_at_reopen() {
     assert_eq!(reader.tail_offset(), 3);
     assert_eq!(reader.read_from(0).unwrap(), events);
     assert_eq!(
-        fs::metadata(scratch.first_segment()).unwrap().len(),
+        fs::metadata(first_segment(&scratch)).unwrap().len(),
         clean_len + 2,
         "reader must not mutate the journal"
     );
@@ -105,7 +83,7 @@ fn truncated_length_prefix_is_cut_at_reopen() {
     let mut writer = JournalWriter::open(scratch.path(), JournalConfig::default()).unwrap();
     assert_eq!(writer.durable_offset(), 3);
     assert_eq!(
-        fs::metadata(scratch.first_segment()).unwrap().len(),
+        fs::metadata(first_segment(&scratch)).unwrap().len(),
         clean_len
     );
     assert_eq!(writer.append(&sync(3, 7, 8)), 3);
@@ -116,15 +94,15 @@ fn truncated_length_prefix_is_cut_at_reopen() {
 
 #[test]
 fn bit_flipped_payload_truncates_from_the_flip() {
-    let scratch = Scratch::new("bit-flip");
+    let scratch = TempDir::new("bit-flip").unwrap();
     let events = vec![sync(0, 1, 2), sync(1, 3, 4), sync(2, 5, 6)];
     write_events(scratch.path(), &events);
 
     // Flip one bit inside the second record's payload.
-    let mut data = fs::read(scratch.first_segment()).unwrap();
+    let mut data = fs::read(first_segment(&scratch)).unwrap();
     let record_len = data.len() / 3;
     data[record_len + 12] ^= 0x01;
-    fs::write(scratch.first_segment(), &data).unwrap();
+    fs::write(first_segment(&scratch), &data).unwrap();
 
     // Everything from the flipped record on is gone — the checksum
     // catches the flip and the journal truncates at it.
@@ -135,7 +113,7 @@ fn bit_flipped_payload_truncates_from_the_flip() {
     let writer = JournalWriter::open(scratch.path(), JournalConfig::default()).unwrap();
     assert_eq!(writer.durable_offset(), 1);
     assert_eq!(
-        fs::metadata(scratch.first_segment()).unwrap().len() as usize,
+        fs::metadata(first_segment(&scratch)).unwrap().len() as usize,
         record_len,
         "writer reopen cuts the file back to the valid prefix"
     );
@@ -159,7 +137,7 @@ fn torn_tail_at_every_byte_offset_heals_and_recovers_to_the_oracle() {
     ];
 
     // The never-crashed oracle: all four records journaled cleanly.
-    let oracle_scratch = Scratch::new("torn-oracle");
+    let oracle_scratch = TempDir::new("torn-oracle").unwrap();
     write_events(oracle_scratch.path(), &ticks);
     let recovered = Recovery::new(oracle_scratch.path(), OpportunityPipeline::default(), 2)
         .with_genesis_pools(pools.clone())
@@ -180,22 +158,22 @@ fn torn_tail_at_every_byte_offset_heals_and_recovers_to_the_oracle() {
     // Capture the segment with three whole records, then with the
     // fourth appended — the matrix replays a crash at every byte in
     // between.
-    let scratch = Scratch::new("torn-matrix");
+    let scratch = TempDir::new("torn-matrix").unwrap();
     write_events(scratch.path(), &ticks[..3]);
-    let clean = fs::read(scratch.first_segment()).unwrap();
+    let clean = fs::read(first_segment(&scratch)).unwrap();
     write_events(scratch.path(), &ticks[3..]);
-    let full = fs::read(scratch.first_segment()).unwrap();
+    let full = fs::read(first_segment(&scratch)).unwrap();
     assert!(full.len() > clean.len());
 
     for cut in clean.len()..full.len() {
-        fs::write(scratch.first_segment(), &full[..cut]).unwrap();
+        fs::write(first_segment(&scratch), &full[..cut]).unwrap();
 
         // Reopen heals: the torn record is truncated away, the three
         // whole records survive untouched.
         let mut writer = JournalWriter::open(scratch.path(), JournalConfig::default()).unwrap();
         assert_eq!(writer.durable_offset(), 3, "cut at byte {cut}");
         assert_eq!(
-            fs::metadata(scratch.first_segment()).unwrap().len() as usize,
+            fs::metadata(first_segment(&scratch)).unwrap().len() as usize,
             clean.len(),
             "cut at byte {cut}: heal must cut back to the whole-record prefix"
         );
@@ -238,7 +216,7 @@ fn paper_setup() -> (Vec<Pool>, PriceTable) {
 
 #[test]
 fn snapshot_past_the_tail_falls_back_to_the_previous_one() {
-    let scratch = Scratch::new("past-tail");
+    let scratch = TempDir::new("past-tail").unwrap();
     let (pools, feed) = paper_setup();
 
     let mut writer = JournalWriter::open(scratch.path(), JournalConfig::default()).unwrap();

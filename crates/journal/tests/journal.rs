@@ -2,37 +2,15 @@
 //! compaction, cursor semantics, snapshot store basics.
 
 use std::fs;
-use std::path::PathBuf;
 
 use arb_amm::fee::FeeRate;
 use arb_amm::pool::PoolId;
 use arb_amm::token::TokenId;
 use arb_dexsim::events::Event;
 use arb_engine::{OpportunityPipeline, ShardedRuntime};
-use arb_journal::{JournalConfig, JournalCursor, JournalReader, JournalWriter, SnapshotStore};
-
-/// A fresh, unique scratch directory (removed on drop).
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("arbloops-journal-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &PathBuf {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
+use arb_journal::{
+    JournalConfig, JournalCursor, JournalReader, JournalWriter, SnapshotStore, TempDir,
+};
 
 fn sync(pool: u32, a: u128, b: u128) -> Event {
     Event::Sync {
@@ -66,7 +44,7 @@ fn events(n: usize) -> Vec<Event> {
 
 #[test]
 fn write_reopen_read_round_trip() {
-    let scratch = Scratch::new("round-trip");
+    let scratch = TempDir::new("round-trip").unwrap();
     let batch = events(25);
 
     let mut writer = JournalWriter::open(scratch.path(), JournalConfig::default()).unwrap();
@@ -98,7 +76,7 @@ fn write_reopen_read_round_trip() {
 
 #[test]
 fn uncommitted_appends_do_not_survive_a_crash() {
-    let scratch = Scratch::new("uncommitted");
+    let scratch = TempDir::new("uncommitted").unwrap();
     let batch = events(8);
     let mut writer = JournalWriter::open(scratch.path(), JournalConfig::default()).unwrap();
     writer.append_batch(&batch[..5]);
@@ -113,7 +91,7 @@ fn uncommitted_appends_do_not_survive_a_crash() {
 
 #[test]
 fn segments_roll_and_cursors_drain() {
-    let scratch = Scratch::new("rolling");
+    let scratch = TempDir::new("rolling").unwrap();
     let config = JournalConfig {
         segment_max_bytes: 128, // tiny: force many segments
         sync_on_commit: false,
@@ -157,7 +135,7 @@ fn segments_roll_and_cursors_drain() {
 
 #[test]
 fn compaction_drops_fully_snapshotted_segments() {
-    let scratch = Scratch::new("compaction");
+    let scratch = TempDir::new("compaction").unwrap();
     let config = JournalConfig {
         segment_max_bytes: 128,
         sync_on_commit: false,
@@ -192,7 +170,7 @@ fn compaction_drops_fully_snapshotted_segments() {
 
 #[test]
 fn snapshot_store_lists_prunes_and_round_trips() {
-    let scratch = Scratch::new("snapshots");
+    let scratch = TempDir::new("snapshots").unwrap();
     let fee = FeeRate::UNISWAP_V2;
     let t = TokenId::new;
     let pools = vec![
@@ -268,7 +246,7 @@ impl arb_journal::IoShim for ScriptedShim {
 
 #[test]
 fn shimmed_write_error_keeps_pending_and_retries_cleanly() {
-    let scratch = Scratch::new("shim-write-error");
+    let scratch = TempDir::new("shim-write-error").unwrap();
     let mut writer = JournalWriter::open(scratch.path(), JournalConfig::default()).unwrap();
     writer.set_io_shim(Box::new(ScriptedShim {
         write_script: vec![Some(ScriptedFault::Fail)],
@@ -292,7 +270,7 @@ fn shimmed_write_error_keeps_pending_and_retries_cleanly() {
 
 #[test]
 fn torn_and_fsync_faults_roll_back_to_the_durable_boundary() {
-    let scratch = Scratch::new("shim-torn");
+    let scratch = TempDir::new("shim-torn").unwrap();
     let mut writer = JournalWriter::open(scratch.path(), JournalConfig::default()).unwrap();
     writer.append_batch(&events(3));
     writer.commit().unwrap();

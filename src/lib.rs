@@ -77,8 +77,7 @@ pub mod prelude {
     };
     pub use arb_bot::{
         sim::{MarketSim, MarketSimConfig},
-        ArbBot, BotConfig, IngestBot, JournalSettings, JournaledBot, ObsConfig, ScanMode,
-        StrategyChoice, SupervisedBot,
+        ArbBot, BotConfig, IngestBot, JournalSettings, ObsConfig, ScanMode, StrategyChoice,
     };
     pub use arb_cex::feed::{PriceFeed, PriceTable};
     pub use arb_chaos::{
@@ -115,7 +114,7 @@ pub mod prelude {
     };
     pub use arb_journal::{
         IoShim, JournalConfig, JournalCursor, JournalError, JournalReader, JournalWriter,
-        Recovered, RecoveredStream, Recovery, RecoveryStats, SnapshotStore, WriteVerdict,
+        Recovered, RecoveredStream, Recovery, RecoveryStats, SnapshotStore, TempDir, WriteVerdict,
     };
     pub use arb_obs::{FlightRecorder, Obs, ObsOptions, Registry, RegistrySnapshot};
     pub use arb_serve::{

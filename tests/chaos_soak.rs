@@ -9,19 +9,13 @@
 //! `(seed, site, tick)`), and a soak with observability attached leaves
 //! `chaos.*` / `health.*` metrics plus a flight-recorder dump behind.
 
-use std::path::PathBuf;
+use std::path::Path;
 
 use arbloops::chaos::harness::FLIGHT_DUMP;
 use arbloops::prelude::*;
 use arbloops::workloads;
 
-fn soak_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("arbloops-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn soak_config(dir: PathBuf, seed: u64) -> SoakConfig {
+fn soak_config(dir: &Path, seed: u64) -> SoakConfig {
     SoakConfig {
         scenario: ScenarioConfig {
             seed,
@@ -37,12 +31,10 @@ fn soak_config(dir: PathBuf, seed: u64) -> SoakConfig {
 
 fn soak(workload: &str, seed: u64, obs: Option<&Obs>) -> SoakOutcome {
     let spec = workloads::find(workload).expect("workload in catalog");
-    let dir = soak_dir(workload);
-    let config = soak_config(dir.clone(), seed);
+    let dir = TempDir::new(&format!("chaos-{workload}")).expect("scratch dir");
+    let config = soak_config(dir.path(), seed);
     let plan = standard_plan(seed, config.scenario.ticks as u64);
-    let outcome = arbloops::chaos::run_soak(spec, &config, plan, obs).expect("soak completes");
-    let _ = std::fs::remove_dir_all(&dir);
-    outcome
+    arbloops::chaos::run_soak(spec, &config, plan, obs).expect("soak completes")
 }
 
 fn assert_reconverged(outcome: &SoakOutcome) {
@@ -126,8 +118,8 @@ fn same_seed_reruns_reproduce_the_fault_schedule_and_the_outcome() {
 #[test]
 fn soak_mirrors_chaos_and_health_telemetry() {
     let spec = workloads::find("whale-bursts").expect("in catalog");
-    let dir = soak_dir("telemetry");
-    let config = soak_config(dir.clone(), 7_707);
+    let dir = TempDir::new("chaos-telemetry").expect("scratch dir");
+    let config = soak_config(dir.path(), 7_707);
     let plan = standard_plan(7_707, config.scenario.ticks as u64);
     let obs = Obs::default();
     let outcome =
@@ -164,8 +156,7 @@ fn soak_mirrors_chaos_and_health_telemetry() {
         "the reconvergence verdict is exported"
     );
     assert!(
-        dir.join(FLIGHT_DUMP).is_file(),
+        dir.path().join(FLIGHT_DUMP).is_file(),
         "the supervisor dumps the flight recorder on recovery"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

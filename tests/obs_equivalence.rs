@@ -8,31 +8,11 @@
 //! counter for counter: the migration kept the old structs as the
 //! source of truth, so the registry is a mirror, never a fork.
 
-use std::fs;
-use std::path::PathBuf;
-
 use arbloops::bot::BotAction;
 use arbloops::prelude::*;
 
 fn t(i: u32) -> TokenId {
     TokenId::new(i)
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("arbloops-obseq-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
 }
 
 fn paper_chain() -> Chain {
@@ -186,7 +166,7 @@ fn streaming_bot_registry_reproduces_stream_stats_without_perturbing_decisions()
 
 #[test]
 fn ingest_bot_registry_reproduces_ingest_stats_without_perturbing_decisions() {
-    let run = |instrument: bool, scratch: &Scratch| {
+    let run = |instrument: bool, scratch: &TempDir| {
         let mut chain = paper_chain();
         let whale = chain.create_account();
         chain.mint(whale, t(0), to_raw(1_000.0));
@@ -194,7 +174,7 @@ fn ingest_bot_registry_reproduces_ingest_stats_without_perturbing_decisions() {
             &mut chain,
             &paper_feed(),
             BotConfig::default(),
-            JournalSettings::new(&scratch.0),
+            JournalSettings::new(scratch.path()),
             IngestConfig::default(),
         )
         .unwrap();
@@ -202,7 +182,7 @@ fn ingest_bot_registry_reproduces_ingest_stats_without_perturbing_decisions() {
             bot.enable_observability(ObsConfig {
                 // Keep this run's hook out of the process: hooks are
                 // global and another test binary owns that behavior.
-                panic_dump_dir: Some(scratch.0.join("unused-dump-dir")),
+                panic_dump_dir: Some(scratch.path().join("unused-dump-dir")),
                 ..ObsConfig::default()
             });
         }
@@ -221,8 +201,8 @@ fn ingest_bot_registry_reproduces_ingest_stats_without_perturbing_decisions() {
         (actions, stats, batches, snapshot)
     };
 
-    let plain_scratch = Scratch::new("plain");
-    let obs_scratch = Scratch::new("obs");
+    let plain_scratch = TempDir::new("obseq-plain").unwrap();
+    let obs_scratch = TempDir::new("obseq-obs").unwrap();
     let (plain_actions, plain_stats, plain_batches, _) = run(false, &plain_scratch);
     let (obs_actions, obs_stats, obs_batches, snapshot) = run(true, &obs_scratch);
 

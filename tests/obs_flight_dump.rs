@@ -8,29 +8,11 @@
 //! integration-test binary.
 
 use std::fs;
-use std::path::PathBuf;
 
 use arbloops::prelude::*;
 
 fn t(i: u32) -> TokenId {
     TokenId::new(i)
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("arbloops-obsdump-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
 }
 
 fn paper_chain() -> Chain {
@@ -67,7 +49,7 @@ fn json_u64(line: &str, key: &str) -> Option<u64> {
 
 #[test]
 fn panic_dump_parses_and_covers_the_final_tick() {
-    let scratch = Scratch::new("crash");
+    let scratch = TempDir::new("obsdump-crash").unwrap();
     let mut chain = paper_chain();
     let whale = chain.create_account();
     chain.mint(whale, t(0), to_raw(1_000.0));
@@ -81,7 +63,7 @@ fn panic_dump_parses_and_covers_the_final_tick() {
         &mut chain,
         &paper_feed(),
         BotConfig::default(),
-        JournalSettings::new(&scratch.0),
+        JournalSettings::new(scratch.path()),
         IngestConfig::default(),
     )
     .unwrap();
