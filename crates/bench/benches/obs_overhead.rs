@@ -20,8 +20,8 @@
 //! any real instrumentation cost persists in every round, so it
 //! survives the filter. The pass **asserts** bit-identical final
 //! rankings between the legs (instrumentation is a pure observer) and
-//! that the instrumented registry agrees with the legacy
-//! `IngestStats` display.
+//! that the exported view — the registry plus `IngestStats::collect` —
+//! agrees with the `IngestStats` display.
 //! The JSON line feeds `BENCH_obs.json`; CI gates `overhead_ratio`
 //! (instrumented p99 / bare p99) at 5% over the committed baseline of
 //! 1.00, and uploads a sample flight-recorder dump (written when
@@ -196,9 +196,10 @@ fn obs_pass(_c: &mut Criterion) {
     assert_eq!(instrumented.stats, bare.stats, "stats diverged");
     assert_eq!(instrumented.batches, bare.batches);
 
-    // The registry mirrors the legacy display, and every applied batch
-    // timed its spans.
-    let snapshot = obs.snapshot();
+    // The exported view reads the front-end's stats, and every applied
+    // batch timed its spans.
+    let mut snapshot = obs.snapshot();
+    instrumented.stats.collect(&mut snapshot);
     assert_eq!(
         snapshot.counter("ingest.events_in"),
         Some(instrumented.stats.events_in)

@@ -11,6 +11,7 @@ use arb_engine::{
     ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, RuntimeStats, ScreenTotals,
     ShardLoads, ShardedRuntime, SharedStrategy, StreamStats, StreamingEngine,
 };
+use arb_obs::RegistrySnapshot;
 use arb_serve::{
     ClientClass, GovernorConfig, GovernorStats, PublishStats, Publisher, ServeHandle, Subscription,
 };
@@ -38,7 +39,7 @@ pub fn pipeline_for(config: &BotConfig) -> OpportunityPipeline {
         max_cycle_len: config.max_loop_len,
         execution_cost_usd: 0.0,
         min_net_profit_usd: config.min_profit_usd,
-        parallel: config.workers > 1,
+        parallel: true,
         top_k: None,
         ..PipelineConfig::default()
     })
@@ -164,7 +165,9 @@ impl ArbBot {
     /// every layer the bot owns. The live market view (streaming engine
     /// or sharded runtime) and the serving publisher are wired
     /// immediately if present, and lazily as they are (re)built; each
-    /// step records `bot.step_ns` and the step counters. Idempotent.
+    /// step records `bot.step_ns` and the step counters. Layer counters
+    /// are read at snapshot time ([`ArbBot::metrics_snapshot`]).
+    /// Idempotent.
     pub fn enable_observability(&mut self, config: ObsConfig) {
         if self.obs.is_some() {
             return;
@@ -188,11 +191,31 @@ impl ArbBot {
         self.obs.as_ref().map(BotObs::obs)
     }
 
-    /// The current registry in Prometheus text format — the body a
-    /// `/metrics` pull endpoint would serve. `None` until observability
-    /// is enabled.
+    /// Every series this bot owns, read now: the registry merged with
+    /// the live layers' counters — `engine.*` and, when sharded,
+    /// `runtime.*` from the market view, `serve.*` from the publisher.
+    /// A layer's series restart with it (a desynchronized view is
+    /// rebuilt from zero). `None` until observability is enabled.
+    pub fn metrics_snapshot(&self) -> Option<RegistrySnapshot> {
+        let mut snapshot = self.obs()?.snapshot();
+        if let Some(state) = &self.stream {
+            state.engine.stats().collect(&mut snapshot);
+        }
+        if let Some(state) = &self.sharded {
+            state.runtime.collect(&mut snapshot);
+        }
+        if let Some(publisher) = &self.serving {
+            publisher.collect(&mut snapshot);
+        }
+        Some(snapshot)
+    }
+
+    /// [`ArbBot::metrics_snapshot`] in Prometheus text format — the body
+    /// a `/metrics` pull endpoint would serve. `None` until
+    /// observability is enabled.
     pub fn metrics(&self) -> Option<String> {
-        self.obs.as_ref().map(|o| o.obs().prometheus_text())
+        self.metrics_snapshot()
+            .map(|snapshot| arb_obs::export::prometheus_text(&snapshot))
     }
 
     /// Routes the periodic JSON-lines export (every
@@ -260,11 +283,9 @@ impl ArbBot {
         if let Some(state) = &self.sharded {
             return Some(state.runtime.screen_totals());
         }
-        self.stream.as_ref().map(|state| {
-            let mut totals = ScreenTotals::default();
-            totals.add_stats(state.engine.stats());
-            totals
-        })
+        self.stream
+            .as_ref()
+            .map(|state| ScreenTotals::from(state.engine.stats()))
     }
 
     /// Per-shard load picture of the live sharded view — routed events in
@@ -300,8 +321,11 @@ impl ArbBot {
         self.publish(&opportunities);
         let action = execution::submit_best(chain, self.account, &opportunities)?;
         drop(step_span);
-        if let Some(obs) = &mut self.obs {
-            obs.after_step(matches!(action, BotAction::Submitted { .. }));
+        let submitted = matches!(action, BotAction::Submitted { .. });
+        if self.obs.as_mut().is_some_and(|o| o.after_step(submitted)) {
+            if let (Some(snapshot), Some(obs)) = (self.metrics_snapshot(), self.obs.as_mut()) {
+                obs.export(&snapshot);
+            }
         }
         Ok(action)
     }

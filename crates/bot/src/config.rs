@@ -51,10 +51,6 @@ pub struct BotConfig {
     pub method: Method,
     /// Solver options for Convex.
     pub convex: SolverOptions,
-    /// Parallel loop evaluation: values > 1 enable the engine's parallel
-    /// evaluation stage (which uses all available cores); 1 forces the
-    /// serial path. The exact value is not a thread-count bound.
-    pub workers: usize,
     /// Shard-count cap for [`ScanMode::Sharded`] (the realized count is
     /// bounded by the universe's connected components). Ignored in the
     /// other modes.
@@ -70,7 +66,6 @@ impl Default for BotConfig {
             strategy: StrategyChoice::MaxMax,
             method: Method::ClosedForm,
             convex: SolverOptions::default(),
-            workers: 4,
             shards: 4,
         }
     }
@@ -87,7 +82,6 @@ mod tests {
         assert_eq!(c.max_loop_len, 3);
         assert!(c.min_profit_usd > 0.0);
         assert_eq!(c.strategy, StrategyChoice::MaxMax);
-        assert!(c.workers >= 1);
         assert!(c.shards >= 1);
     }
 }

@@ -58,6 +58,7 @@ use arb_ingest::{IngestConfig, IngestDriver, IngestStats, Ingestor, SourceId};
 use arb_journal::{
     JournalConfig, JournalError, JournalWriter, Recovery, RecoveryStats, SnapshotStore,
 };
+use arb_obs::{MetricValue, RegistrySnapshot};
 
 use crate::bot::{pipeline_for, BotAction};
 use crate::config::BotConfig;
@@ -308,17 +309,17 @@ impl IngestBot {
     /// through the whole pipeline this bot owns — ingest sealing
     /// (`ingest.seal_ns` → `queue_ns` spans), the apply side
     /// (`ingest.apply_ns`, `ingest.e2e_ns`, per-batch `ingest.tick`
-    /// flight marks), the sharded runtime (`runtime.*`, `engine.*`),
-    /// and the bot's own step counters. Unless the config names another
-    /// directory, a panic hook is installed that dumps the flight
-    /// recorder to the journal directory on crash, next to the journal
-    /// the post-mortem will replay. A recovery that built this bot is
-    /// reported under `journal.*`.
+    /// flight marks), the sharded runtime (`runtime.tick_ns`, engine
+    /// spans), and the bot's own step counters. Unless the config names
+    /// another directory, a panic hook is installed that dumps the
+    /// flight recorder to the journal directory on crash, next to the
+    /// journal the post-mortem will replay. A recovery that built this
+    /// bot is reported under `journal.*`.
     ///
     /// The registry, the recorder and the one panic hook live as long
     /// as the bot: a supervised rebuild re-wires them rather than
-    /// replacing them, counts itself in `bot.recoveries`, and the hook
-    /// always dumps the live recorder. Idempotent.
+    /// replacing them, and the hook always dumps the live recorder.
+    /// Idempotent.
     pub fn enable_observability(&mut self, mut config: ObsConfig) {
         if self.obs.is_some() {
             return;
@@ -336,11 +337,29 @@ impl IngestBot {
         self.obs.as_ref().map(BotObs::obs)
     }
 
-    /// The current registry in Prometheus text format — the body a
-    /// `/metrics` pull endpoint would serve. `None` until observability
-    /// is enabled.
+    /// Every series this bot owns, read now: the registry merged with
+    /// the layers' counters — `ingest.*` from the front-end and driver,
+    /// `runtime.*` and `engine.*` from the fleet — and `bot.recoveries`.
+    /// A supervised recovery rebuilds the layers, so their series
+    /// restart; `bot.recoveries` counts those restarts. `None` until
+    /// observability is enabled.
+    pub fn metrics_snapshot(&self) -> Option<RegistrySnapshot> {
+        let mut snapshot = self.obs()?.snapshot();
+        self.ingestor.stats().collect(&mut snapshot);
+        self.driver.collect(&mut snapshot);
+        snapshot.insert(
+            "bot.recoveries",
+            MetricValue::Counter(u64::from(self.recoveries)),
+        );
+        Some(snapshot)
+    }
+
+    /// [`IngestBot::metrics_snapshot`] in Prometheus text format — the
+    /// body a `/metrics` pull endpoint would serve. `None` until
+    /// observability is enabled.
     pub fn metrics(&self) -> Option<String> {
-        self.obs.as_ref().map(|o| o.obs().prometheus_text())
+        self.metrics_snapshot()
+            .map(|snapshot| arb_obs::export::prometheus_text(&snapshot))
     }
 
     /// Routes the periodic JSON-lines export (every
@@ -471,8 +490,11 @@ impl IngestBot {
             None => BotAction::Idle,
         };
         drop(step_span);
-        if let Some(obs) = &mut self.obs {
-            obs.after_step(matches!(action, BotAction::Submitted { .. }));
+        let submitted = matches!(action, BotAction::Submitted { .. });
+        if self.obs.as_mut().is_some_and(|o| o.after_step(submitted)) {
+            if let (Some(snapshot), Some(obs)) = (self.metrics_snapshot(), self.obs.as_mut()) {
+                obs.export(&snapshot);
+            }
         }
         Ok(action)
     }
@@ -499,9 +521,6 @@ impl IngestBot {
         rebuilt.obs = self.obs.take();
         rebuilt.tick_hook = self.tick_hook.take();
         rebuilt.wire();
-        if let Some(obs) = rebuilt.obs() {
-            obs.registry().counter("bot.recoveries").inc();
-        }
         *self = rebuilt;
         Ok(())
     }
@@ -905,13 +924,21 @@ mod tests {
         let injector = Arc::new(ChaosInjector::new(panic_plan(2..3)));
         bot.set_tick_hook(Arc::new(ChaosTickHook::new(Arc::clone(&injector))));
 
+        let mut events_in = Vec::new();
         let actions = drive(&mut chain, whale, 0..8, |chain, moves| {
-            bot.step(chain, moves).unwrap()
+            let action = bot.step(chain, moves).unwrap();
+            assert_metrics_match_live(&bot);
+            events_in.push(bot.ingest_stats().events_in);
+            action
         });
 
         assert!(
             bot.recoveries() >= 1,
             "the panic window must force a supervised recovery"
+        );
+        assert!(
+            events_in.windows(2).any(|pair| pair[1] < pair[0]),
+            "the rebuilt front-end restarts its counters: {events_in:?}"
         );
         assert_eq!(injector.injected(), bot.recoveries() as usize);
         assert_eq!(
@@ -927,8 +954,27 @@ mod tests {
             dir.path().join(arb_obs::FLIGHT_DUMP_FILE).is_file(),
             "recovery leaves the flight-recorder dump next to the journal"
         );
-        let snapshot = bot.obs().expect("obs survives the rebuild").snapshot();
+        let snapshot = bot.metrics_snapshot().expect("obs survives the rebuild");
         assert_eq!(snapshot.counter("bot.recoveries"), Some(1));
+    }
+
+    /// Every pulled series equals the struct that owns it — after a
+    /// supervised rebuild too, when those structs restart.
+    fn assert_metrics_match_live(bot: &IngestBot) {
+        let snapshot = bot.metrics_snapshot().expect("observability is on");
+        let (ingest, runtime) = (bot.ingest_stats(), bot.driver().runtime());
+        for (name, value) in [
+            ("ingest.events_in", ingest.events_in),
+            ("ingest.batches_delivered", ingest.batches_delivered),
+            (
+                "engine.strategy_evaluations",
+                runtime.fleet_stats().strategy_evaluations as u64,
+            ),
+            ("runtime.ticks", runtime.stats().ticks as u64),
+            ("bot.recoveries", u64::from(bot.recoveries())),
+        ] {
+            assert_eq!(snapshot.counter(name), Some(value), "{name} vs its owner");
+        }
     }
 
     #[test]

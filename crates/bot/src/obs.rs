@@ -3,26 +3,30 @@
 //!
 //! Both bot flavors ([`crate::ArbBot`] and [`crate::IngestBot`]) attach
 //! through `enable_observability(ObsConfig)`, which builds one
-//! [`arb_obs::Obs`] handle and threads it through every layer they own
-//! (ingest front-end, engine/runtime, publisher). The bots then expose:
+//! [`arb_obs::Obs`] handle and threads its span timers through every
+//! layer they own (ingest front-end, engine/runtime, publisher). The
+//! bots then expose:
 //!
-//! * `obs()` — the shared handle, for snapshots and flight dumps;
-//! * `metrics()` — the current registry in Prometheus text format, the
-//!   body a `/metrics` endpoint would serve;
-//! * a periodic JSON-lines export every
+//! * `obs()` — the shared handle, for flight dumps;
+//! * `metrics_snapshot()` — the registry merged with the counters each
+//!   owned layer renders from its stats struct at read time;
+//! * `metrics()` — that view in Prometheus text format, the body a
+//!   `/metrics` endpoint would serve;
+//! * a periodic JSON-lines export of that view every
 //!   [`ObsConfig::export_every_steps`] steps into a caller-provided
 //!   sink callback.
 //!
 //! The handle lives as long as the bot. [`crate::IngestBot`] keeps it —
 //! registry, flight recorder, export sink and its one panic hook —
 //! across supervised recoveries and re-wires it into the rebuilt
-//! pipeline, so counters accumulate and a crash dump always shows the
-//! live recorder.
+//! pipeline, so histograms accumulate and a crash dump always shows
+//! the live recorder. Layer counters belong to the layers and restart
+//! with them; `bot.recoveries` marks each restart.
 
 use std::fmt;
 use std::path::PathBuf;
 
-use arb_obs::{Counter, Obs, ObsOptions, SpanTimer};
+use arb_obs::{Counter, Obs, ObsOptions, RegistrySnapshot, SpanTimer};
 
 /// How a bot attaches to the observability layer.
 #[derive(Debug, Clone)]
@@ -30,9 +34,9 @@ pub struct ObsConfig {
     /// Flight-recorder ring capacity in events (rounded up to a power
     /// of two, minimum 16).
     pub flight_capacity: usize,
-    /// Push a JSON-lines registry export into the sink callback every
-    /// this many steps (0 = no periodic export; the pull surface stays
-    /// available either way).
+    /// Push a JSON-lines export of the bot's `metrics_snapshot()` into
+    /// the sink callback every this many steps (0 = no periodic export;
+    /// the pull surface stays available either way).
     pub export_every_steps: usize,
     /// Install a process-wide panic hook dumping the flight recorder to
     /// this directory on crash — once per bot, however often
@@ -113,23 +117,28 @@ impl BotObs {
         self.step_span.clone()
     }
 
-    /// Per-step bookkeeping: counters, then the periodic export when
-    /// one is due.
-    pub fn after_step(&mut self, submitted: bool) {
+    /// Per-step bookkeeping: bumps the step counters and reports
+    /// whether a periodic export is due this step.
+    pub fn after_step(&mut self, submitted: bool) -> bool {
         self.steps.inc();
         if submitted {
             self.submissions.inc();
         }
         if self.export_every_steps == 0 {
-            return;
+            return false;
         }
         self.steps_since_export += 1;
-        if self.steps_since_export >= self.export_every_steps {
-            self.steps_since_export = 0;
-            let body = self.obs.json_lines();
-            if let Some(sink) = &mut self.sink {
-                sink(&body);
-            }
+        if self.steps_since_export < self.export_every_steps {
+            return false;
+        }
+        self.steps_since_export = 0;
+        true
+    }
+
+    /// Pushes `snapshot` as JSON-lines into the export sink, if any.
+    pub fn export(&mut self, snapshot: &RegistrySnapshot) {
+        if let Some(sink) = &mut self.sink {
+            sink(&arb_obs::export::json_lines(snapshot));
         }
     }
 }
@@ -153,7 +162,10 @@ mod tests {
         for step in 0..5 {
             let timer = bot_obs.step_timer();
             drop(timer.start());
-            bot_obs.after_step(step % 2 == 0);
+            if bot_obs.after_step(step % 2 == 0) {
+                let snapshot = bot_obs.obs().snapshot();
+                bot_obs.export(&snapshot);
+            }
         }
         let exports = exports.lock().unwrap();
         assert_eq!(exports.len(), 2, "exports at steps 2 and 4");

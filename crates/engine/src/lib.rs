@@ -76,7 +76,7 @@ pub use pipeline::{
 };
 pub use ranking::{RankByGrossProfit, RankByNetProfit, RankByProfitPerHop, RankingPolicy};
 pub use runtime::{
-    RebalanceConfig, RuntimeReport, RuntimeStats, RuntimeTelemetry, ScreenTotals, ShardLoads,
-    ShardedRuntime, TickHook,
+    RebalanceConfig, RuntimeReport, RuntimeStats, ScreenTotals, ShardLoads, ShardedRuntime,
+    TickHook,
 };
 pub use streaming::{StreamReport, StreamStats, StreamingEngine};

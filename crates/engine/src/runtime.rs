@@ -48,7 +48,7 @@ use arb_cex::feed::PriceFeed;
 use arb_dexsim::events::Event;
 use arb_dexsim::units::to_display;
 use arb_graph::{Partition, TokenGraph};
-use arb_obs::{Counter, Gauge, Histogram, Obs};
+use arb_obs::{Histogram, MetricValue, Obs, RegistrySnapshot};
 use rayon::prelude::*;
 
 use crate::checkpoint::RuntimeCheckpoint;
@@ -126,6 +126,30 @@ impl fmt::Display for RuntimeStats {
     }
 }
 
+impl RuntimeStats {
+    /// Renders the counters into `out` under `runtime.*`, plus the
+    /// `runtime.merged_opportunities` gauge. The nanosecond fields go to
+    /// the `runtime.tick_ns` / `runtime.merge_ns` histograms instead.
+    pub(crate) fn collect(&self, out: &mut RegistrySnapshot) {
+        let counters = [
+            ("runtime.ticks", self.ticks),
+            ("runtime.events_routed", self.events_routed),
+            ("runtime.broadcasts", self.broadcasts),
+            ("runtime.rebuilds", self.rebuilds),
+            ("runtime.rebalances", self.rebalances),
+            ("runtime.shard_refreshes", self.shard_refreshes),
+            ("runtime.merge_cache_hits", self.merge_cache_hits),
+        ];
+        for (name, value) in counters {
+            out.insert(name, MetricValue::Counter(value as u64));
+        }
+        out.insert(
+            "runtime.merged_opportunities",
+            MetricValue::Gauge(self.merged_opportunities as f64),
+        );
+    }
+}
+
 /// The fleet-wide profitability-screen counters, summed across every
 /// shard engine **and** across rebuilds (a repartition replaces the
 /// engines, so their counters are banked first — these totals are
@@ -150,18 +174,19 @@ pub struct ScreenTotals {
     pub strategy_evaluations: usize,
 }
 
-impl ScreenTotals {
-    /// Accumulates one engine's screen counters into the totals (used by
-    /// the runtime across its fleet, and by telemetry consumers to view a
-    /// single [`StreamingEngine`]'s counters in the same shape).
-    pub fn add_stats(&mut self, stats: &StreamStats) {
-        self.cycles_screened_out += stats.cycles_screened_out;
-        self.cycles_floor_screened += stats.cycles_floor_screened;
-        self.cycles_hop_screened += stats.cycles_hop_screened;
-        self.cycles_degenerate_skipped += stats.cycles_degenerate_skipped;
-        self.screen_delta_updates += stats.screen_delta_updates;
-        self.screen_resummations += stats.screen_resummations;
-        self.strategy_evaluations += stats.strategy_evaluations;
+impl From<&StreamStats> for ScreenTotals {
+    /// The screen counters of one engine, or of a whole fleet's summed
+    /// [`ShardedRuntime::fleet_stats`].
+    fn from(stats: &StreamStats) -> Self {
+        ScreenTotals {
+            cycles_screened_out: stats.cycles_screened_out,
+            cycles_floor_screened: stats.cycles_floor_screened,
+            cycles_hop_screened: stats.cycles_hop_screened,
+            cycles_degenerate_skipped: stats.cycles_degenerate_skipped,
+            screen_delta_updates: stats.screen_delta_updates,
+            screen_resummations: stats.screen_resummations,
+            strategy_evaluations: stats.strategy_evaluations,
+        }
     }
 }
 
@@ -274,91 +299,13 @@ impl fmt::Display for ShardLoads {
     }
 }
 
-/// One tick's telemetry, captured atomically at the tick boundary.
-///
-/// [`ShardedRuntime::shard_loads`] and [`ShardedRuntime::screen_totals`]
-/// are separate reads: a caller (or a serving wrapper polling between
-/// ticks) interleaving them around an `apply_events` can pair a
-/// pre-tick load picture with a post-tick screen picture — torn across
-/// ticks. The runtime therefore captures both (plus the stats and
-/// revision they belong to) in one place at the end of every merge;
-/// [`ShardedRuntime::telemetry`] returns that last consistent capture.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RuntimeTelemetry {
-    /// The tick this capture closed ([`RuntimeStats::ticks`] after the
-    /// merge; 0 means no tick has completed yet).
-    pub tick: usize,
-    /// The merged standing revision at the capture.
-    pub revision: u64,
-    /// Cumulative runtime counters at the capture.
-    pub stats: RuntimeStats,
-    /// Fleet-wide screen totals at the capture.
-    pub screen: ScreenTotals,
-    /// Per-shard load picture at the capture.
-    pub loads: ShardLoads,
-}
-
-/// Pre-resolved registry instruments for the runtime, plus the `Obs`
-/// handle kept to re-wire shard engines after rebuilds/rebalances.
+/// The per-tick histograms, plus the `Obs` handle new shard engines
+/// get their span timers from (see [`ShardedRuntime::set_obs`]).
 #[derive(Debug)]
 struct RuntimeObs {
     handle: Obs,
     tick_ns: Histogram,
     merge_ns: Histogram,
-    ticks: Counter,
-    events_routed: Counter,
-    broadcasts: Counter,
-    rebuilds: Counter,
-    rebalances: Counter,
-    shard_refreshes: Counter,
-    merge_cache_hits: Counter,
-    merged_opportunities: Gauge,
-    shard_count: Gauge,
-    mirrored: RuntimeStats,
-}
-
-impl RuntimeObs {
-    fn new(obs: &Obs) -> Self {
-        let registry = obs.registry();
-        RuntimeObs {
-            handle: obs.clone(),
-            tick_ns: registry.histogram("runtime.tick_ns"),
-            merge_ns: registry.histogram("runtime.merge_ns"),
-            ticks: registry.counter("runtime.ticks"),
-            events_routed: registry.counter("runtime.events_routed"),
-            broadcasts: registry.counter("runtime.broadcasts"),
-            rebuilds: registry.counter("runtime.rebuilds"),
-            rebalances: registry.counter("runtime.rebalances"),
-            shard_refreshes: registry.counter("runtime.shard_refreshes"),
-            merge_cache_hits: registry.counter("runtime.merge_cache_hits"),
-            merged_opportunities: registry.gauge("runtime.merged_opportunities"),
-            shard_count: registry.gauge("runtime.shard_count"),
-            mirrored: RuntimeStats::default(),
-        }
-    }
-
-    /// Pushes the delta since the last sync (monotone fields) and the
-    /// current levels (gauges); the nanosecond fields feed the
-    /// histograms directly in `merge`.
-    fn sync(&mut self, current: &RuntimeStats, shards: usize) {
-        let m = &self.mirrored;
-        self.ticks.add((current.ticks - m.ticks) as u64);
-        self.events_routed
-            .add((current.events_routed - m.events_routed) as u64);
-        self.broadcasts
-            .add((current.broadcasts - m.broadcasts) as u64);
-        self.rebuilds.add((current.rebuilds - m.rebuilds) as u64);
-        self.rebalances
-            .add((current.rebalances - m.rebalances) as u64);
-        self.shard_refreshes
-            .add((current.shard_refreshes - m.shard_refreshes) as u64);
-        self.merge_cache_hits
-            .add((current.merge_cache_hits - m.merge_cache_hits) as u64);
-        self.merged_opportunities
-            .set(current.merged_opportunities as f64);
-        self.shard_count.set(shards as f64);
-        self.mirrored = *current;
-    }
 }
 
 /// The merged, globally ranked output of one runtime tick.
@@ -420,13 +367,10 @@ pub struct ShardedRuntime {
     /// `PoolCreated` slots awaiting retirement in non-owning shards
     /// (processed after the queues drain, before anything re-evaluates).
     pending_retires: Vec<(PoolId, usize)>,
-    /// Cycle evaluations accumulated by shard fleets that rebuilds have
-    /// since replaced, so [`ShardedRuntime::cycles_evaluated`] stays
+    /// Counters of the shard engines that rebuilds and rebalances have
+    /// since replaced, so [`ShardedRuntime::fleet_stats`] stays
     /// cumulative across repartitions.
-    evaluations_before_rebuilds: usize,
-    /// Screen counters banked from replaced fleets, mirroring
-    /// `evaluations_before_rebuilds`.
-    screen_before_rebuilds: ScreenTotals,
+    banked: StreamStats,
     /// Adaptive rebalancing tuning (off by default).
     rebalance: RebalanceConfig,
     /// Routed events per pool slot in the current rebalance window —
@@ -441,12 +385,9 @@ pub struct ShardedRuntime {
     /// set moved (see [`ShardedRuntime::standing_revision`]).
     revision: u64,
     stats: RuntimeStats,
-    /// Registry instruments, when observability is attached
+    /// Histograms and span timers, when observability is attached
     /// ([`ShardedRuntime::set_obs`]).
     obs: Option<RuntimeObs>,
-    /// Last tick-boundary telemetry capture
-    /// ([`ShardedRuntime::telemetry`]).
-    telemetry: RuntimeTelemetry,
     /// Per-shard pre-tick hook ([`ShardedRuntime::set_tick_hook`]).
     tick_hook: Option<Arc<dyn TickHook>>,
 }
@@ -485,15 +426,14 @@ impl ShardedRuntime {
     ) -> Result<Self, EngineError> {
         pipeline.config().validate()?;
         let partition = Partition::new(&graph, max_shards);
-        let shards = Self::build_shards(&pipeline, &graph, &partition)?;
+        let shards = Self::build_shards(&pipeline, &graph, &partition, None)?;
         Ok(ShardedRuntime {
             pipeline,
             pool_slots: graph.pool_count(),
             partition,
             max_shards,
             pending_retires: Vec::new(),
-            evaluations_before_rebuilds: 0,
-            screen_before_rebuilds: ScreenTotals::default(),
+            banked: StreamStats::default(),
             rebalance: RebalanceConfig::default(),
             pool_weights: vec![0; graph.pool_count()],
             shard_window_events: vec![0; shards.len()],
@@ -502,7 +442,6 @@ impl ShardedRuntime {
             shards,
             stats: RuntimeStats::default(),
             obs: None,
-            telemetry: RuntimeTelemetry::default(),
             tick_hook: None,
         })
     }
@@ -527,10 +466,13 @@ impl ShardedRuntime {
         self.tick_hook = None;
     }
 
+    /// One engine per shard of `partition`, each with the span timers of
+    /// `obs` when given.
     fn build_shards(
         pipeline: &OpportunityPipeline,
         graph: &TokenGraph,
         partition: &Partition,
+        obs: Option<&Obs>,
     ) -> Result<Vec<Shard>, EngineError> {
         (0..partition.shard_count())
             .map(|shard| {
@@ -544,7 +486,10 @@ impl ShardedRuntime {
                         shard_graph.remove_pool(id)?;
                     }
                 }
-                let engine = StreamingEngine::with_graph(pipeline.clone(), shard_graph)?;
+                let mut engine = StreamingEngine::with_graph(pipeline.clone(), shard_graph)?;
+                if let Some(obs) = obs {
+                    engine.set_obs(obs);
+                }
                 let revision = engine.standing_revision();
                 Ok(Shard {
                     engine,
@@ -556,38 +501,34 @@ impl ShardedRuntime {
             .collect()
     }
 
-    /// Attaches observability: `runtime.*` counters/gauges mirror
-    /// [`RuntimeStats`], `runtime.tick_ns`/`runtime.merge_ns` histograms
-    /// record every tick, and each shard engine reports its
-    /// [`StreamStats`] and refresh/rank spans under `engine.*` (shard
-    /// deltas are additive, so the registry shows fleet totals). The
-    /// handle survives rebuilds and rebalances — replacement fleets are
-    /// re-wired automatically.
+    /// Attaches observability: `runtime.tick_ns`/`runtime.merge_ns`
+    /// histograms record every tick, and each shard engine times its
+    /// refresh/rank spans — including the engines a rebuild or
+    /// rebalance builds later. Counters stay in [`RuntimeStats`] and the
+    /// engines' [`StreamStats`]; [`ShardedRuntime::collect`] renders
+    /// them when a snapshot is read.
     pub fn set_obs(&mut self, obs: &Obs) {
-        let mut runtime_obs = RuntimeObs::new(obs);
-        runtime_obs.sync(&self.stats, self.shards.len());
-        self.obs = Some(runtime_obs);
-        self.wire_shards();
-    }
-
-    /// Points every current shard engine at the attached registry (on
-    /// attach, and again after each rebuild/rebalance replaces the
-    /// fleet).
-    fn wire_shards(&mut self) {
-        if let Some(obs) = &self.obs {
-            let handle = obs.handle.clone();
-            for shard in &mut self.shards {
-                shard.engine.set_obs(&handle);
-            }
+        for shard in &mut self.shards {
+            shard.engine.set_obs(obs);
         }
+        self.obs = Some(RuntimeObs {
+            handle: obs.clone(),
+            tick_ns: obs.registry().histogram("runtime.tick_ns"),
+            merge_ns: obs.registry().histogram("runtime.merge_ns"),
+        });
     }
 
-    /// The last tick-boundary telemetry capture: stats, screen totals,
-    /// shard loads, and the standing revision, all snapshotted together
-    /// at the end of the same merge (see [`RuntimeTelemetry`]). Default
-    /// (tick 0) until the first tick completes.
-    pub fn telemetry(&self) -> &RuntimeTelemetry {
-        &self.telemetry
+    /// Renders this runtime's counters into `out`: `runtime.*` from
+    /// [`RuntimeStats`], the `runtime.shard_count` gauge, and the
+    /// fleet's `engine.*` from [`ShardedRuntime::fleet_stats`]
+    /// (cumulative across rebuilds).
+    pub fn collect(&self, out: &mut RegistrySnapshot) {
+        self.stats.collect(out);
+        out.insert(
+            "runtime.shard_count",
+            MetricValue::Gauge(self.shards.len() as f64),
+        );
+        self.fleet_stats().collect(out);
     }
 
     /// Number of shards in use.
@@ -631,25 +572,26 @@ impl ShardedRuntime {
             .sum()
     }
 
+    /// Engine counters summed over every shard since construction,
+    /// including the engines that rebuilds have since replaced.
+    pub fn fleet_stats(&self) -> StreamStats {
+        let mut totals = self.banked;
+        for shard in &self.shards {
+            totals.accumulate(shard.engine.stats());
+        }
+        totals
+    }
+
     /// Dirty cycles evaluated across all shards since construction,
     /// including work done by fleets that rebuilds have since replaced.
     pub fn cycles_evaluated(&self) -> usize {
-        self.evaluations_before_rebuilds
-            + self
-                .shards
-                .iter()
-                .map(|s| s.engine.stats().cycles_evaluated)
-                .sum::<usize>()
+        self.fleet_stats().cycles_evaluated
     }
 
     /// Fleet-wide profitability-screen counters since construction,
     /// cumulative across rebuilds (see [`ScreenTotals`]).
     pub fn screen_totals(&self) -> ScreenTotals {
-        let mut totals = self.screen_before_rebuilds;
-        for shard in &self.shards {
-            totals.add_stats(shard.engine.stats());
-        }
-        totals
+        ScreenTotals::from(&self.fleet_stats())
     }
 
     /// Routes a batch of chain events to their owning shards, flushes
@@ -820,10 +762,7 @@ impl ShardedRuntime {
             )
             .map_err(arb_graph::GraphError::from)?,
         );
-        self.bank_shard_counters();
-        self.partition = Partition::new(&graph, self.max_shards);
-        self.shards = Self::build_shards(&self.pipeline, &graph, &self.partition)?;
-        self.wire_shards();
+        self.replace_fleet(&graph, Partition::new(&graph, self.max_shards))?;
         self.pool_slots = graph.pool_count();
         self.reset_window();
         Ok(())
@@ -854,17 +793,22 @@ impl ShardedRuntime {
         Ok(graph)
     }
 
-    /// The fleet is about to be replaced wholesale; bank its evaluation
-    /// and screen counters so the cumulative totals survive.
-    fn bank_shard_counters(&mut self) {
-        self.evaluations_before_rebuilds += self
-            .shards
-            .iter()
-            .map(|s| s.engine.stats().cycles_evaluated)
-            .sum::<usize>();
+    /// Replaces every shard engine with a cold one built over `graph`
+    /// under `partition`, banking the outgoing engines' counters so the
+    /// fleet totals stay cumulative.
+    fn replace_fleet(
+        &mut self,
+        graph: &TokenGraph,
+        partition: Partition,
+    ) -> Result<(), EngineError> {
+        let obs = self.obs.as_ref().map(|o| &o.handle);
+        let shards = Self::build_shards(&self.pipeline, graph, &partition, obs)?;
         for shard in &self.shards {
-            self.screen_before_rebuilds.add_stats(shard.engine.stats());
+            self.banked.accumulate(shard.engine.stats());
         }
+        self.shards = shards;
+        self.partition = partition;
+        Ok(())
     }
 
     /// Clears the rolling load window (after a rebuild, rebalance, or
@@ -917,10 +861,7 @@ impl ShardedRuntime {
         if candidate == self.partition {
             return Ok(());
         }
-        self.bank_shard_counters();
-        self.partition = candidate;
-        self.shards = Self::build_shards(&self.pipeline, &graph, &self.partition)?;
-        self.wire_shards();
+        self.replace_fleet(&graph, candidate)?;
         self.stats.rebalances += 1;
         // Cold-refresh the new fleet: queues are empty, so this is pure
         // re-evaluation of standing cycles against current reserves.
@@ -1026,8 +967,7 @@ impl ShardedRuntime {
             pool_slots,
             max_shards: checkpoint.max_shards,
             pending_retires: Vec::new(),
-            evaluations_before_rebuilds: 0,
-            screen_before_rebuilds: ScreenTotals::default(),
+            banked: StreamStats::default(),
             rebalance: RebalanceConfig::default(),
             pool_weights: vec![0; pool_slots],
             shard_window_events: vec![0; shards.len()],
@@ -1036,7 +976,6 @@ impl ShardedRuntime {
             shards,
             stats: RuntimeStats::default(),
             obs: None,
-            telemetry: RuntimeTelemetry::default(),
             tick_hook: None,
         })
     }
@@ -1099,23 +1038,10 @@ impl ShardedRuntime {
         self.stats.last_tick_nanos = tick_nanos;
         self.stats.total_tick_nanos += tick_nanos;
 
-        let stats = self.stats;
-        let shard_count = self.shards.len();
-        if let Some(obs) = &mut self.obs {
+        if let Some(obs) = &self.obs {
             obs.tick_ns.record(tick_nanos);
             obs.merge_ns.record(merge_nanos);
-            obs.sync(&stats, shard_count);
         }
-        // Captured here — after the merge, before returning — so the
-        // stats, screen totals, and load picture all describe the same
-        // tick boundary.
-        self.telemetry = RuntimeTelemetry {
-            tick: self.stats.ticks,
-            revision: self.revision,
-            stats: self.stats,
-            screen: self.screen_totals(),
-            loads: self.shard_loads(),
-        };
 
         RuntimeReport {
             opportunities: merged,
@@ -1323,43 +1249,14 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_snapshots_the_tick_boundary() {
-        let feed = island_feed();
-        let mut runtime =
-            ShardedRuntime::new(OpportunityPipeline::default(), island_pools(), 3).unwrap();
-        assert_eq!(runtime.telemetry().tick, 0, "fresh runtime, no capture");
-
-        runtime.refresh(&feed).unwrap();
-        let after_refresh = runtime.telemetry().clone();
-        assert_eq!(after_refresh.tick, 1);
-        assert_eq!(after_refresh.stats, *runtime.stats());
-        assert_eq!(after_refresh.screen, runtime.screen_totals());
-        assert_eq!(after_refresh.loads, runtime.shard_loads());
-        assert_eq!(after_refresh.revision, runtime.standing_revision());
-
-        let report = runtime
-            .apply_events(&[sync(0, 101.0, 199.0)], &feed)
-            .unwrap();
-        let after_tick = runtime.telemetry();
-        assert_eq!(after_tick.tick, 2);
-        assert_eq!(after_tick.stats, report.stats);
-        assert_eq!(after_tick.screen, runtime.screen_totals());
-        assert!(
-            after_tick.screen.strategy_evaluations >= after_refresh.screen.strategy_evaluations
-        );
-    }
-
-    #[test]
-    fn set_obs_survives_rebuilds_and_mirrors_stats() {
+    fn collect_reads_the_stats_and_stays_cumulative_across_rebuilds() {
         let feed = island_feed();
         let obs = arb_obs::Obs::default();
         let mut runtime =
             ShardedRuntime::new(OpportunityPipeline::default(), island_pools(), 3).unwrap();
         runtime.set_obs(&obs);
         runtime.refresh(&feed).unwrap();
-
-        // Bridge pool forces a rebuild that replaces every shard engine;
-        // the replacement fleet must keep reporting.
+        // A bridge pool forces a rebuild that replaces every shard engine.
         let bridge = Event::PoolCreated {
             pool: p(7),
             token_a: t(2),
@@ -1373,27 +1270,30 @@ mod tests {
             .apply_events(&[sync(7, 110.0, 1_900.0)], &feed)
             .unwrap();
 
-        let snapshot = obs.snapshot();
-        assert_eq!(
-            snapshot.counter("runtime.ticks"),
-            Some(runtime.stats().ticks as u64)
+        let mut snapshot = obs.snapshot();
+        assert_eq!(snapshot.counter("runtime.ticks"), None, "not copied in");
+        runtime.collect(&mut snapshot);
+        let fleet = runtime.fleet_stats();
+        let live_refreshes: usize = runtime.shard_stats().iter().map(|s| s.refreshes).sum();
+        assert!(
+            fleet.refreshes > live_refreshes,
+            "the replaced fleet is banked"
         );
-        assert_eq!(snapshot.counter("runtime.rebuilds"), Some(1));
-        assert_eq!(
-            snapshot.counter("runtime.events_routed"),
-            Some(runtime.stats().events_routed as u64)
-        );
-        // Screen counters flow from the shard engines, cumulatively
-        // across the rebuild (the banked totals stay in the registry).
-        let screen = runtime.screen_totals();
-        assert_eq!(
-            snapshot.counter("engine.strategy_evaluations"),
-            Some(screen.strategy_evaluations as u64)
-        );
-        let ticks = snapshot
-            .histogram("runtime.tick_ns")
-            .expect("tick histogram registered");
-        assert_eq!(ticks.count, runtime.stats().ticks as u64);
+        let stats = runtime.stats();
+        for (name, value) in [
+            ("runtime.ticks", stats.ticks),
+            ("runtime.rebuilds", 1),
+            ("runtime.events_routed", stats.events_routed),
+            ("engine.strategy_evaluations", fleet.strategy_evaluations),
+            ("engine.cycles_evaluated", runtime.cycles_evaluated()),
+        ] {
+            assert_eq!(snapshot.counter(name), Some(value as u64), "{name}");
+        }
+        assert_eq!(snapshot.gauge("runtime.shard_count"), Some(2.0));
+        let histogram = |name| snapshot.histogram(name).expect(name).count;
+        assert_eq!(histogram("runtime.tick_ns"), stats.ticks as u64);
+        // The rebuilt engines time their refreshes too.
+        assert_eq!(histogram("engine.refresh.eval_ns"), fleet.refreshes as u64);
     }
 
     #[test]

@@ -70,7 +70,7 @@ use arb_cex::feed::PriceFeed;
 use arb_dexsim::events::Event;
 use arb_dexsim::units::to_display;
 use arb_graph::{CycleId, CycleIndex, SyncOutcome, TokenGraph};
-use arb_obs::{Counter, Obs, SpanTimer};
+use arb_obs::{MetricValue, Obs, RegistrySnapshot, SpanTimer};
 use rayon::prelude::*;
 
 use crate::bounds::{floor_verdict, FloorVerdict};
@@ -170,121 +170,44 @@ impl fmt::Display for StreamStats {
     }
 }
 
-/// Pre-resolved registry instruments mirroring [`StreamStats`] under
-/// `engine.*`, plus the refresh/rank span timers.
-///
-/// Counters are *additive* across engines sharing a registry: each
-/// engine pushes only the delta since its last sync (`mirrored`), so a
-/// sharded fleet's registry totals are the sum over every engine that
-/// ever lived — exactly what [`crate::ScreenTotals`] reports, rebuilds
-/// included. Syncs happen at refresh boundaries (the end of every tick
-/// path), so a snapshot taken between ticks always agrees with the
-/// legacy struct.
+/// Implements the field-wise [`StreamStats`] methods over one list of
+/// its fields. `accumulate` destructures without `..`, so a field
+/// missing from the list fails to compile.
+macro_rules! stream_stats_fields {
+    ($($field:ident)*) => {
+        impl StreamStats {
+            /// Renders every counter into `out` as `engine.<field>`. The
+            /// struct is the only copy: the series read what it holds now.
+            pub fn collect(&self, out: &mut RegistrySnapshot) {
+                $(out.insert(
+                    concat!("engine.", stringify!($field)),
+                    MetricValue::Counter(self.$field as u64),
+                );)*
+            }
+
+            /// Adds `other` field by field: a fleet's totals are the sum
+            /// of its engines' counters.
+            pub(crate) fn accumulate(&mut self, other: &StreamStats) {
+                let StreamStats { $($field),* } = *other;
+                $(self.$field += $field;)*
+            }
+        }
+    };
+}
+
+stream_stats_fields!(events_applied syncs_applied pools_added pools_retired pools_revived
+    cycles_added cycles_retired cycles_dirtied cycles_evaluated strategy_evaluations
+    evaluations_saved refreshes cycles_screened_out cycles_floor_screened cycles_hop_screened
+    cycles_degenerate_skipped screen_delta_updates screen_resummations scratch_grow_events
+    dirty_bitset_capacity);
+
+/// The refresh/rank span timers, when observability is attached. The
+/// counters are not copied anywhere: [`StreamStats::collect`] renders
+/// them at read time.
 #[derive(Debug)]
 struct EngineObs {
     refresh: SpanTimer,
     rank: SpanTimer,
-    events_applied: Counter,
-    syncs_applied: Counter,
-    pools_added: Counter,
-    pools_retired: Counter,
-    pools_revived: Counter,
-    cycles_added: Counter,
-    cycles_retired: Counter,
-    cycles_dirtied: Counter,
-    cycles_evaluated: Counter,
-    strategy_evaluations: Counter,
-    evaluations_saved: Counter,
-    refreshes: Counter,
-    cycles_screened_out: Counter,
-    cycles_floor_screened: Counter,
-    cycles_hop_screened: Counter,
-    cycles_degenerate_skipped: Counter,
-    screen_delta_updates: Counter,
-    screen_resummations: Counter,
-    scratch_grow_events: Counter,
-    dirty_bitset_capacity: Counter,
-    /// The stats value last pushed to the registry; the next sync adds
-    /// only the field-wise delta beyond this.
-    mirrored: StreamStats,
-}
-
-impl EngineObs {
-    fn new(obs: &Obs) -> Self {
-        let registry = obs.registry();
-        EngineObs {
-            refresh: obs.span("engine.refresh.eval_ns"),
-            rank: obs.span("engine.rank_ns"),
-            events_applied: registry.counter("engine.events_applied"),
-            syncs_applied: registry.counter("engine.syncs_applied"),
-            pools_added: registry.counter("engine.pools_added"),
-            pools_retired: registry.counter("engine.pools_retired"),
-            pools_revived: registry.counter("engine.pools_revived"),
-            cycles_added: registry.counter("engine.cycles_added"),
-            cycles_retired: registry.counter("engine.cycles_retired"),
-            cycles_dirtied: registry.counter("engine.cycles_dirtied"),
-            cycles_evaluated: registry.counter("engine.cycles_evaluated"),
-            strategy_evaluations: registry.counter("engine.strategy_evaluations"),
-            evaluations_saved: registry.counter("engine.evaluations_saved"),
-            refreshes: registry.counter("engine.refreshes"),
-            cycles_screened_out: registry.counter("engine.cycles_screened_out"),
-            cycles_floor_screened: registry.counter("engine.cycles_floor_screened"),
-            cycles_hop_screened: registry.counter("engine.cycles_hop_screened"),
-            cycles_degenerate_skipped: registry.counter("engine.cycles_degenerate_skipped"),
-            screen_delta_updates: registry.counter("engine.screen_delta_updates"),
-            screen_resummations: registry.counter("engine.screen_resummations"),
-            scratch_grow_events: registry.counter("engine.scratch_grow_events"),
-            dirty_bitset_capacity: registry.counter("engine.dirty_bitset_capacity"),
-            mirrored: StreamStats::default(),
-        }
-    }
-
-    /// Pushes the delta between `current` and the last sync into the
-    /// registry. Every [`StreamStats`] field is monotone over one
-    /// engine's lifetime, so the deltas are always non-negative.
-    fn sync(&mut self, current: &StreamStats) {
-        let m = &self.mirrored;
-        self.events_applied
-            .add((current.events_applied - m.events_applied) as u64);
-        self.syncs_applied
-            .add((current.syncs_applied - m.syncs_applied) as u64);
-        self.pools_added
-            .add((current.pools_added - m.pools_added) as u64);
-        self.pools_retired
-            .add((current.pools_retired - m.pools_retired) as u64);
-        self.pools_revived
-            .add((current.pools_revived - m.pools_revived) as u64);
-        self.cycles_added
-            .add((current.cycles_added - m.cycles_added) as u64);
-        self.cycles_retired
-            .add((current.cycles_retired - m.cycles_retired) as u64);
-        self.cycles_dirtied
-            .add((current.cycles_dirtied - m.cycles_dirtied) as u64);
-        self.cycles_evaluated
-            .add((current.cycles_evaluated - m.cycles_evaluated) as u64);
-        self.strategy_evaluations
-            .add((current.strategy_evaluations - m.strategy_evaluations) as u64);
-        self.evaluations_saved
-            .add((current.evaluations_saved - m.evaluations_saved) as u64);
-        self.refreshes.add((current.refreshes - m.refreshes) as u64);
-        self.cycles_screened_out
-            .add((current.cycles_screened_out - m.cycles_screened_out) as u64);
-        self.cycles_floor_screened
-            .add((current.cycles_floor_screened - m.cycles_floor_screened) as u64);
-        self.cycles_hop_screened
-            .add((current.cycles_hop_screened - m.cycles_hop_screened) as u64);
-        self.cycles_degenerate_skipped
-            .add((current.cycles_degenerate_skipped - m.cycles_degenerate_skipped) as u64);
-        self.screen_delta_updates
-            .add((current.screen_delta_updates - m.screen_delta_updates) as u64);
-        self.screen_resummations
-            .add((current.screen_resummations - m.screen_resummations) as u64);
-        self.scratch_grow_events
-            .add((current.scratch_grow_events - m.scratch_grow_events) as u64);
-        self.dirty_bitset_capacity
-            .add((current.dirty_bitset_capacity - m.dirty_bitset_capacity) as u64);
-        self.mirrored = *current;
-    }
 }
 
 /// The ranked output of one streaming refresh.
@@ -331,7 +254,7 @@ pub struct StreamingEngine {
     /// How many times `ranked()` actually sorted (cache misses).
     rank_sorts: AtomicUsize,
     stats: StreamStats,
-    /// Registry mirror + span timers, when observability is attached.
+    /// Span timers, when observability is attached.
     obs: Option<EngineObs>,
 }
 
@@ -391,15 +314,15 @@ impl StreamingEngine {
     }
 
     /// Attaches observability: an `engine.refresh.eval_ns` span per
-    /// refresh, an `engine.rank_ns` span per ranking, and an additive
-    /// registry mirror of [`StreamStats`] under `engine.*` (synced at
-    /// refresh boundaries). Counters already accumulated — cold-start
-    /// cycle enumeration, work done before attachment — are pushed
-    /// immediately, so the registry never under-reports.
+    /// refresh and an `engine.rank_ns` span per ranking. Only spans go
+    /// to the registry; the counters stay in [`StreamStats`], which
+    /// [`StreamStats::collect`] renders under `engine.*` when a snapshot
+    /// is read.
     pub fn set_obs(&mut self, obs: &Obs) {
-        let mut engine_obs = EngineObs::new(obs);
-        engine_obs.sync(&self.stats);
-        self.obs = Some(engine_obs);
+        self.obs = Some(EngineObs {
+            refresh: obs.span("engine.refresh.eval_ns"),
+            rank: obs.span("engine.rank_ns"),
+        });
     }
 
     /// The engine's current graph view.
@@ -505,18 +428,6 @@ impl StreamingEngine {
         Ok(())
     }
 
-    /// Pushes any un-mirrored counter movement into the registry, when
-    /// observability is attached. Called at refresh boundaries so the
-    /// registry tracks the legacy struct tick by tick; callers driving
-    /// `ingest`/`retire_pool` directly between refreshes can call it
-    /// explicitly before snapshotting.
-    pub fn sync_obs(&mut self) {
-        let stats = self.stats;
-        if let Some(obs) = &mut self.obs {
-            obs.sync(&stats);
-        }
-    }
-
     /// Re-evaluates the dirty set against `feed` and returns the standing
     /// ranking. Tokens whose USD price moved since the last refresh dirty
     /// their cycles first, so standing valuations never go stale under a
@@ -572,7 +483,6 @@ impl StreamingEngine {
             standing,
             revision,
             stats,
-            obs,
             ..
         } = self;
         let config = pipeline.config();
@@ -735,9 +645,6 @@ impl StreamingEngine {
         }
         if changed {
             *revision += 1;
-        }
-        if let Some(obs) = obs {
-            obs.sync(stats);
         }
 
         Ok(())

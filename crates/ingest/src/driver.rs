@@ -4,7 +4,7 @@ use arb_amm::token::TokenId;
 use arb_cex::feed::PriceTable;
 use arb_dexsim::events::Event;
 use arb_engine::{OpportunityPipeline, RuntimeCheckpoint, RuntimeReport, ShardedRuntime};
-use arb_obs::{Counter, Histogram, Marker, Obs, SpanTimer};
+use arb_obs::{Histogram, Marker, MetricValue, Obs, RegistrySnapshot, SpanTimer};
 
 use crate::error::IngestError;
 use crate::queue::IngestBatch;
@@ -21,9 +21,6 @@ struct DriverObs {
     /// the batch just applied, so a post-mortem dump shows exactly
     /// which tick the process died on.
     tick: Marker,
-    chain_events_applied: Counter,
-    feed_updates_applied: Counter,
-    raw_events_applied: Counter,
 }
 
 /// Consumes [`IngestBatch`]es from an [`IngestHandle`] and applies them
@@ -40,7 +37,6 @@ pub struct IngestDriver {
     chain_events_applied: u64,
     feed_updates_applied: u64,
     raw_events_applied: u64,
-    last_latency_nanos: u64,
     batches_applied: u64,
     obs: Option<DriverObs>,
 }
@@ -56,7 +52,6 @@ impl IngestDriver {
             chain_events_applied: 0,
             feed_updates_applied: 0,
             raw_events_applied: 0,
-            last_latency_nanos: 0,
             batches_applied: 0,
             obs: None,
         }
@@ -66,18 +61,31 @@ impl IngestDriver {
     /// span per batch, the `ingest.e2e_ns` seal-to-ranking latency
     /// histogram, an `ingest.tick` flight mark per batch — and forwards
     /// the handle to the wrapped runtime so engine refresh/merge spans
-    /// land in the same registry.
+    /// land in the same registry. The apply counters stay on the driver;
+    /// [`IngestDriver::collect`] renders them.
     pub fn set_obs(&mut self, obs: &Obs) {
-        let registry = obs.registry();
         self.obs = Some(DriverObs {
             apply: obs.span("ingest.apply_ns"),
-            e2e_ns: registry.histogram("ingest.e2e_ns"),
+            e2e_ns: obs.registry().histogram("ingest.e2e_ns"),
             tick: obs.marker("ingest.tick"),
-            chain_events_applied: registry.counter("ingest.chain_events_applied"),
-            feed_updates_applied: registry.counter("ingest.feed_updates_applied"),
-            raw_events_applied: registry.counter("ingest.raw_events_applied"),
         });
         self.runtime.set_obs(obs);
+    }
+
+    /// Renders the apply counters into `out`
+    /// (`ingest.chain_events_applied`, `ingest.feed_updates_applied`,
+    /// `ingest.raw_events_applied`), then the wrapped runtime's
+    /// ([`ShardedRuntime::collect`]).
+    pub fn collect(&self, out: &mut RegistrySnapshot) {
+        let counters = [
+            ("ingest.chain_events_applied", self.chain_events_applied),
+            ("ingest.feed_updates_applied", self.feed_updates_applied),
+            ("ingest.raw_events_applied", self.raw_events_applied),
+        ];
+        for (name, value) in counters {
+            out.insert(name, MetricValue::Counter(value));
+        }
+        self.runtime.collect(out);
     }
 
     /// Applies the next queued batch if one is ready. `Ok(None)` means
@@ -135,16 +143,11 @@ impl IngestDriver {
         self.chain_events_applied += self.scratch.len() as u64;
         self.raw_events_applied += batch.raw_events as u64;
         let report = self.runtime.apply_events(&self.scratch, &self.feed)?;
-        self.last_latency_nanos = batch.sealed_at.elapsed().as_nanos() as u64;
+        let latency_nanos = batch.sealed_at.elapsed().as_nanos() as u64;
         drop(apply_span);
         if let Some(obs) = &self.obs {
-            obs.e2e_ns.record(self.last_latency_nanos);
+            obs.e2e_ns.record(latency_nanos);
             obs.tick.mark(self.batches_applied);
-            obs.chain_events_applied
-                .set_at_least(self.chain_events_applied);
-            obs.feed_updates_applied
-                .set_at_least(self.feed_updates_applied);
-            obs.raw_events_applied.set_at_least(self.raw_events_applied);
         }
         self.batches_applied += 1;
         Ok(report)
@@ -230,10 +233,5 @@ impl IngestDriver {
     /// applied batches the newest mark reads `n - 1`.
     pub fn batches_applied(&self) -> u64 {
         self.batches_applied
-    }
-
-    /// Seal-to-ranking latency of the most recent batch, in nanoseconds.
-    pub fn last_latency_nanos(&self) -> u64 {
-        self.last_latency_nanos
     }
 }

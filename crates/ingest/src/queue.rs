@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use arb_dexsim::events::Event;
 
-use crate::stats::{IngestStats, StatsMirror};
+use crate::stats::IngestStats;
 
 /// One sealed block of the multiplexed stream, as delivered to the
 /// consumer: coalesced events plus the bookkeeping needed for journal
@@ -52,9 +52,6 @@ pub(crate) struct QueueState {
     pub capacity: usize,
     pub closed: bool,
     pub stats: IngestStats,
-    /// Registry instruments mirroring `stats`, when observability is
-    /// attached (see `Ingestor::set_obs`).
-    pub obs: Option<StatsMirror>,
 }
 
 impl QueueState {
@@ -77,13 +74,6 @@ impl QueueState {
             self.queued_events(),
         );
     }
-
-    /// Pushes the updated stats into the registry mirror, if attached.
-    pub fn sync_obs(&self) {
-        if let Some(mirror) = &self.obs {
-            mirror.sync(&self.stats);
-        }
-    }
 }
 
 impl Shared {
@@ -94,7 +84,6 @@ impl Shared {
                 capacity: capacity.max(1),
                 closed: false,
                 stats: IngestStats::default(),
-                obs: None,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -157,7 +146,6 @@ impl Shared {
             guard.stats.depth_high_water = depth;
         }
         guard.debug_check_ledger();
-        guard.sync_obs();
         self.not_empty.notify_one();
     }
 
@@ -169,7 +157,6 @@ impl Shared {
         guard.stats.events_out += batch.events.len() as u64;
         guard.stats.batches_delivered += 1;
         guard.debug_check_ledger();
-        guard.sync_obs();
         self.not_full.notify_one();
         Some(batch)
     }
@@ -183,7 +170,6 @@ impl Shared {
                 guard.stats.events_out += batch.events.len() as u64;
                 guard.stats.batches_delivered += 1;
                 guard.debug_check_ledger();
-                guard.sync_obs();
                 self.not_full.notify_one();
                 return Some(batch);
             }

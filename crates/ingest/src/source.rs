@@ -12,7 +12,7 @@ use crate::coalesce::coalesce;
 use crate::error::IngestError;
 use crate::health::{HealthConfig, HealthMonitor, HealthState};
 use crate::queue::{IngestBatch, QueueState, Shared, WaitOutcome};
-use crate::stats::{IngestStats, StatsMirror};
+use crate::stats::IngestStats;
 
 /// Pre-resolved span timers over the sealing pipeline, one per stage
 /// (`ingest.seal_ns` wraps the other three).
@@ -160,10 +160,10 @@ impl Ingestor {
     }
 
     /// Attaches observability: span timers over every sealing stage
-    /// (`ingest.seal_ns` → `journal_ns`/`coalesce_ns`/`queue_ns`) and a
-    /// registry mirror of [`IngestStats`] under `ingest.*`, updated
-    /// under the queue lock so the registry and the legacy struct can
-    /// never disagree.
+    /// (`ingest.seal_ns` → `journal_ns`/`coalesce_ns`/`queue_ns`) and
+    /// the health monitors' state gauges. The flow-ledger counters stay
+    /// in [`IngestStats`]; [`IngestStats::collect`] renders them under
+    /// `ingest.*` when a snapshot is read.
     pub fn set_obs(&mut self, obs: &Obs) {
         self.obs = Some(SealSpans {
             seal: obs.span("ingest.seal_ns"),
@@ -171,24 +171,12 @@ impl Ingestor {
             coalesce: obs.span("ingest.coalesce_ns"),
             queue: obs.span("ingest.queue_ns"),
         });
-        let mut guard = self.shared.lock();
-        let mirror = StatsMirror::new(obs.registry());
-        mirror.sync(&guard.stats);
-        guard.obs = Some(mirror);
-        drop(guard);
         for monitor in &mut self.source_health {
             monitor.set_obs(obs);
         }
         self.journal_health.set_obs(obs);
         self.consumer_health.set_obs(obs);
         self.obs_handle = Some(obs.clone());
-    }
-
-    /// Builder form of [`Ingestor::set_obs`].
-    #[must_use]
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.set_obs(obs);
-        self
     }
 
     /// Attaches a journal: every sealed block's **raw** multiplexed
@@ -449,7 +437,7 @@ impl Ingestor {
             return Err(IngestError::Closed);
         }
         // Journal counters ride the same lock as the flow-ledger
-        // credits so the registry mirror sees one consistent snapshot.
+        // credits, so a stats read sees one consistent ledger.
         guard.stats.journal_write_failures += u64::from(journal_failed);
         guard.stats.journal_recommits += u64::from(journal_recommitted);
         if guard.queue.len() >= guard.capacity {
@@ -462,10 +450,7 @@ impl Ingestor {
                         let waited = stalled.elapsed().as_nanos() as u64;
                         guard.stats.stall_nanos += waited;
                         match outcome {
-                            WaitOutcome::Closed => {
-                                guard.sync_obs();
-                                return Err(IngestError::Closed);
-                            }
+                            WaitOutcome::Closed => return Err(IngestError::Closed),
                             WaitOutcome::TimedOut => {
                                 // The watchdog fired: degrade exactly
                                 // like CoalesceHarder (merge into the
@@ -481,7 +466,6 @@ impl Ingestor {
                                 guard.stats.degraded_merges += 1;
                                 guard.stats.stall_timeouts += 1;
                                 guard.debug_check_ledger();
-                                guard.sync_obs();
                                 drop(guard);
                                 self.consumer_health.record_failure(seal_tick);
                                 return Err(IngestError::StallTimeout {
@@ -502,7 +486,6 @@ impl Ingestor {
                     let (mut open_guard, open) = self.shared.wait_not_full(guard);
                     open_guard.stats.stall_nanos += stalled.elapsed().as_nanos() as u64;
                     if !open {
-                        open_guard.sync_obs();
                         return Err(IngestError::Closed);
                     }
                     open_guard.stats.events_in += sealed_raw;
@@ -520,7 +503,6 @@ impl Ingestor {
                     guard.stats.batches_sealed += 1;
                     guard.stats.degraded_merges += 1;
                     guard.debug_check_ledger();
-                    guard.sync_obs();
                     drop(guard);
                     self.consumer_health.record_idle(seal_tick);
                     return Ok(self.next_offset);

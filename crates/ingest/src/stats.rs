@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use arb_obs::{Counter, Gauge, Registry};
+use arb_obs::{MetricValue, RegistrySnapshot};
 
 /// Cumulative front-end counters, snapshot via
 /// [`crate::Ingestor::stats`] / [`crate::IngestHandle::stats`].
@@ -67,61 +67,31 @@ impl IngestStats {
     pub fn ledger_balanced(&self, queued_events: u64) -> bool {
         self.events_in == self.events_out + self.coalesced_away + queued_events
     }
-}
 
-/// Pre-resolved registry instruments mirroring [`IngestStats`] — the
-/// flow ledger exposed through `arb-obs` under `ingest.*`. `sync` is
-/// called with the stats already updated (under the queue lock), so
-/// the registry and the legacy struct can never drift apart.
-#[derive(Debug, Clone)]
-pub(crate) struct StatsMirror {
-    events_in: Counter,
-    events_out: Counter,
-    coalesced_away: Counter,
-    batches_sealed: Counter,
-    batches_delivered: Counter,
-    degraded_merges: Counter,
-    depth_high_water: Counter,
-    stall_ns: Counter,
-    stall_timeouts: Counter,
-    journal_write_failures: Counter,
-    journal_recommits: Counter,
-    coalesce_ratio: Gauge,
-}
-
-impl StatsMirror {
-    pub fn new(registry: &Registry) -> Self {
-        StatsMirror {
-            events_in: registry.counter("ingest.events_in"),
-            events_out: registry.counter("ingest.events_out"),
-            coalesced_away: registry.counter("ingest.coalesced_away"),
-            batches_sealed: registry.counter("ingest.batches_sealed"),
-            batches_delivered: registry.counter("ingest.batches_delivered"),
-            degraded_merges: registry.counter("ingest.degraded_merges"),
-            depth_high_water: registry.counter("ingest.depth_high_water"),
-            stall_ns: registry.counter("ingest.stall_ns"),
-            stall_timeouts: registry.counter("ingest.stall_timeouts"),
-            journal_write_failures: registry.counter("ingest.journal_write_failures"),
-            journal_recommits: registry.counter("ingest.journal_recommits"),
-            coalesce_ratio: registry.gauge("ingest.coalesce_ratio"),
+    /// Renders the flow ledger into `out` under `ingest.*`: one counter
+    /// per field (`stall_nanos` as `ingest.stall_ns`) plus the
+    /// `ingest.coalesce_ratio` gauge. The struct is the only copy.
+    pub fn collect(&self, out: &mut RegistrySnapshot) {
+        let counters = [
+            ("ingest.events_in", self.events_in),
+            ("ingest.events_out", self.events_out),
+            ("ingest.coalesced_away", self.coalesced_away),
+            ("ingest.batches_sealed", self.batches_sealed),
+            ("ingest.batches_delivered", self.batches_delivered),
+            ("ingest.degraded_merges", self.degraded_merges),
+            ("ingest.depth_high_water", self.depth_high_water as u64),
+            ("ingest.stall_ns", self.stall_nanos),
+            ("ingest.stall_timeouts", self.stall_timeouts),
+            ("ingest.journal_write_failures", self.journal_write_failures),
+            ("ingest.journal_recommits", self.journal_recommits),
+        ];
+        for (name, value) in counters {
+            out.insert(name, MetricValue::Counter(value));
         }
-    }
-
-    pub fn sync(&self, stats: &IngestStats) {
-        self.events_in.set_at_least(stats.events_in);
-        self.events_out.set_at_least(stats.events_out);
-        self.coalesced_away.set_at_least(stats.coalesced_away);
-        self.batches_sealed.set_at_least(stats.batches_sealed);
-        self.batches_delivered.set_at_least(stats.batches_delivered);
-        self.degraded_merges.set_at_least(stats.degraded_merges);
-        self.depth_high_water
-            .set_at_least(stats.depth_high_water as u64);
-        self.stall_ns.set_at_least(stats.stall_nanos);
-        self.stall_timeouts.set_at_least(stats.stall_timeouts);
-        self.journal_write_failures
-            .set_at_least(stats.journal_write_failures);
-        self.journal_recommits.set_at_least(stats.journal_recommits);
-        self.coalesce_ratio.set(stats.coalesce_ratio());
+        out.insert(
+            "ingest.coalesce_ratio",
+            MetricValue::Gauge(self.coalesce_ratio()),
+        );
     }
 }
 
@@ -173,9 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn mirror_tracks_stats_and_ratio() {
-        let registry = Registry::new();
-        let mirror = StatsMirror::new(&registry);
+    fn collect_renders_every_field_and_the_ratio() {
         let stats = IngestStats {
             events_in: 10,
             events_out: 4,
@@ -189,8 +157,8 @@ mod tests {
             journal_write_failures: 4,
             journal_recommits: 3,
         };
-        mirror.sync(&stats);
-        let snap = registry.snapshot();
+        let mut snap = RegistrySnapshot::default();
+        stats.collect(&mut snap);
         assert_eq!(snap.counter("ingest.events_in"), Some(10));
         assert_eq!(snap.counter("ingest.events_out"), Some(4));
         assert_eq!(snap.counter("ingest.coalesced_away"), Some(6));

@@ -2,9 +2,7 @@
 //!
 //! Everything the paper's empirical claims rest on — screen discharge
 //! rates, incremental-refresh latencies, ingest coalescing ratios —
-//! used to live in per-crate stats structs visible only through
-//! `Display` one-liners. This crate is the one pipe they all report
-//! through:
+//! is exported through this crate:
 //!
 //! * [`Registry`] — hierarchical names → atomic counters, gauges, and
 //!   log-linear latency histograms (p50/p90/p99/max with no allocation
@@ -20,26 +18,39 @@
 //!
 //! [`Obs`] bundles a registry and a flight recorder into the single
 //! cheap-to-clone handle the runtime crates thread through their
-//! `set_obs`/`with_obs` hooks. With no `Obs` attached the instrumented
+//! `set_obs` hooks. With no `Obs` attached the instrumented
 //! code paths cost one branch.
+//!
+//! # One owner per series
+//!
+//! The registry holds only *registry-native* series: span histograms,
+//! flight marks, and the few counters nothing else keeps (`bot.steps`,
+//! `chaos.*`, `health.*`, `journal.*`). Counters the layers already
+//! keep in plain stats structs (`engine.*`, `runtime.*`, `ingest.*`,
+//! `serve.*`) are never copied in: each owner renders its struct into
+//! a [`RegistrySnapshot`] when someone reads it
+//! ([`RegistrySnapshot::insert`]), so a series equals its struct at
+//! every snapshot and resets when the struct does. A bare
+//! [`Obs::snapshot`] therefore shows registry-native series only; the
+//! bots' `metrics_snapshot()` merges in every layer they own.
 //!
 //! ```
 //! use arb_obs::Obs;
 //!
 //! let obs = Obs::default();
 //! let tick = obs.span("runtime.tick");
-//! let events_in = obs.registry().counter("ingest.events_in");
+//! let steps = obs.registry().counter("bot.steps");
 //! for n in 0..3u64 {
 //!     let _tick = tick.start();
-//!     events_in.add(10);
+//!     steps.inc();
 //!     obs.marker("ingest.tick").mark(n);
 //! }
 //! let snap = obs.registry().snapshot();
-//! assert_eq!(snap.counter("ingest.events_in"), Some(30));
+//! assert_eq!(snap.counter("bot.steps"), Some(3));
 //! assert_eq!(snap.histogram("runtime.tick").unwrap().count, 3);
 //! // Export either way:
-//! assert!(obs.prometheus_text().contains("ingest_events_in 30"));
-//! assert!(obs.json_lines().contains("\"metric\":\"runtime.tick\""));
+//! assert!(arb_obs::export::prometheus_text(&snap).contains("bot_steps 3"));
+//! assert!(arb_obs::export::json_lines(&snap).contains("\"metric\":\"runtime.tick\""));
 //! // Post-mortem ring: 3 spans + 3 marks.
 //! assert_eq!(obs.flight().snapshot().len(), 6);
 //! ```
@@ -136,23 +147,12 @@ impl Obs {
         }
     }
 
-    /// A point-in-time view of every registered instrument.
+    /// A point-in-time view of every registered instrument — the
+    /// registry-native series only (see the crate docs); export it with
+    /// [`export::prometheus_text`] or [`export::json_lines`].
     #[must_use]
     pub fn snapshot(&self) -> RegistrySnapshot {
         self.registry.snapshot()
-    }
-
-    /// The current snapshot in Prometheus text format — the
-    /// `/metrics`-style pull body.
-    #[must_use]
-    pub fn prometheus_text(&self) -> String {
-        export::prometheus_text(&self.snapshot())
-    }
-
-    /// The current snapshot as JSON-lines.
-    #[must_use]
-    pub fn json_lines(&self) -> String {
-        export::json_lines(&self.snapshot())
     }
 
     /// The flight-recorder ring as JSON-lines.

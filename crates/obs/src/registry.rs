@@ -50,13 +50,6 @@ impl Counter {
         self.add(1);
     }
 
-    /// Raises the counter to `total` if it is below it — the bridge for
-    /// mirroring an externally maintained cumulative total (a legacy
-    /// stats field) into the registry without double counting.
-    pub fn set_at_least(&self, total: u64) {
-        self.cell.fetch_max(total, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
@@ -307,6 +300,10 @@ pub enum MetricValue {
 /// A point-in-time view of every registered instrument, sorted by
 /// name. Feed it to [`crate::export::prometheus_text`] or
 /// [`crate::export::json_lines`].
+///
+/// Owners of plain stats structs render them into a snapshot at read
+/// time with [`RegistrySnapshot::insert`], so a counter kept in a
+/// struct has one copy and the exported view reads it.
 #[derive(Debug, Clone, Default)]
 pub struct RegistrySnapshot {
     /// `(name, value)` pairs in ascending name order.
@@ -314,6 +311,23 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
+    /// Adds one series, keeping the entries sorted by name. Each name
+    /// has exactly one owner: inserting a name already present is a
+    /// bug in the caller (debug builds assert).
+    pub fn insert(&mut self, name: impl Into<String>, value: MetricValue) {
+        let name = name.into();
+        let at = self
+            .entries
+            .partition_point(|(existing, _)| existing.as_str() < name.as_str());
+        debug_assert!(
+            self.entries
+                .get(at)
+                .is_none_or(|(existing, _)| *existing != name),
+            "obs series {name:?} rendered twice"
+        );
+        self.entries.insert(at, (name, value));
+    }
+
     /// The counter registered under `name`, if present.
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
@@ -529,6 +543,27 @@ mod tests {
         assert_eq!(snap.histogram("a.h").map(|h| h.count), Some(1));
         let names: Vec<&str> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["a.b", "a.g", "a.h"]);
+    }
+
+    #[test]
+    fn insert_keeps_names_sorted() {
+        let reg = Registry::new();
+        reg.counter("b.native").inc();
+        let mut snap = reg.snapshot();
+        snap.insert("c.owned", MetricValue::Gauge(0.5));
+        snap.insert("a.owned", MetricValue::Counter(7));
+        let names: Vec<&str> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["a.owned", "b.native", "c.owned"]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rendered twice")]
+    fn insert_rejects_a_second_owner() {
+        let reg = Registry::new();
+        reg.counter("a.b").inc();
+        let mut snap = reg.snapshot();
+        snap.insert("a.b", MetricValue::Counter(1));
     }
 
     #[test]

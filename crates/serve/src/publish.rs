@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use arb_engine::ArbitrageOpportunity;
-use arb_obs::{Counter, Gauge, Obs, SpanTimer};
+use arb_obs::{MetricValue, Obs, RegistrySnapshot, SpanTimer};
 
 use crate::diff::{diff, RankingDelta};
 use crate::error::ServeError;
@@ -205,49 +205,6 @@ pub struct PublishStats {
     pub noop_deltas: u64,
 }
 
-/// Pre-resolved registry instruments for the publisher (see
-/// [`Publisher::set_obs`]). The publisher is the single writer, so the
-/// counters are absolute mirrors (`set_at_least`), not deltas.
-#[derive(Debug)]
-struct PublishObs {
-    /// Wraps snapshot build + diff + pointer install.
-    publish: SpanTimer,
-    publishes: Counter,
-    skipped: Counter,
-    noop_deltas: Counter,
-    revision: Gauge,
-    admitted: Counter,
-    denied_rate: Counter,
-    denied_saturated: Counter,
-}
-
-impl PublishObs {
-    fn new(obs: &Obs) -> Self {
-        let registry = obs.registry();
-        PublishObs {
-            publish: obs.span("serve.publish_ns"),
-            publishes: registry.counter("serve.publishes"),
-            skipped: registry.counter("serve.skipped"),
-            noop_deltas: registry.counter("serve.noop_deltas"),
-            revision: registry.gauge("serve.revision"),
-            admitted: registry.counter("serve.admitted"),
-            denied_rate: registry.counter("serve.denied_rate"),
-            denied_saturated: registry.counter("serve.denied_saturated"),
-        }
-    }
-
-    fn sync(&self, stats: &PublishStats, revision: u64, governor: &GovernorStats) {
-        self.publishes.set_at_least(stats.publishes);
-        self.skipped.set_at_least(stats.skipped);
-        self.noop_deltas.set_at_least(stats.noop_deltas);
-        self.revision.set(revision as f64);
-        self.admitted.set_at_least(governor.total_admitted());
-        self.denied_rate.set_at_least(governor.total_denied_rate());
-        self.denied_saturated
-            .set_at_least(governor.denied_saturated);
-    }
-}
-
 /// The single writer: owns revision numbering, diffing, and the cell.
 ///
 /// Exactly one `Publisher` exists per serving runtime; it is `Send` but
@@ -268,7 +225,8 @@ pub struct Publisher {
     /// publisher, or re-anchored after a restore).
     last_source: Option<u64>,
     stats: PublishStats,
-    obs: Option<PublishObs>,
+    /// The `serve.publish_ns` span, when observability is attached.
+    publish_span: Option<SpanTimer>,
 }
 
 impl Publisher {
@@ -289,24 +247,43 @@ impl Publisher {
             last: initial,
             last_source: None,
             stats: PublishStats::default(),
-            obs: None,
+            publish_span: None,
         }
     }
 
-    /// Attaches observability: a `serve.publish_ns` span per publish,
-    /// `serve.*` counters mirroring [`PublishStats`] and the governor's
-    /// admission totals, and a `serve.revision` gauge.
+    /// Attaches observability: a `serve.publish_ns` span per publish.
+    /// The counters stay in [`PublishStats`] and the governor's
+    /// atomics; [`Publisher::collect`] renders them.
     pub fn set_obs(&mut self, obs: &Obs) {
-        let publish_obs = PublishObs::new(obs);
-        publish_obs.sync(&self.stats, self.revision, &self.governor.stats());
-        self.obs = Some(publish_obs);
+        self.publish_span = Some(obs.span("serve.publish_ns"));
+    }
+
+    /// Renders the serving counters into `out`: [`PublishStats`] as
+    /// `serve.{publishes,skipped,noop_deltas}`, the `serve.revision`
+    /// gauge, and the governor's admission totals as
+    /// `serve.{admitted,denied_rate,denied_saturated}`, read from its
+    /// atomics now — reads admitted since the last publish included.
+    pub fn collect(&self, out: &mut RegistrySnapshot) {
+        let governor = self.governor.stats();
+        let counters = [
+            ("serve.publishes", self.stats.publishes),
+            ("serve.skipped", self.stats.skipped),
+            ("serve.noop_deltas", self.stats.noop_deltas),
+            ("serve.admitted", governor.total_admitted()),
+            ("serve.denied_rate", governor.total_denied_rate()),
+            ("serve.denied_saturated", governor.denied_saturated),
+        ];
+        for (name, value) in counters {
+            out.insert(name, MetricValue::Counter(value));
+        }
+        out.insert("serve.revision", MetricValue::Gauge(self.revision as f64));
     }
 
     /// Publishes a new ranking unconditionally: builds the snapshot and
     /// its indexes, diffs against the previous revision, pushes the
     /// delta, and swaps the pointer. Returns the new serve revision.
     pub fn publish(&mut self, ranked: Vec<ArbitrageOpportunity>) -> u64 {
-        let span = self.obs.as_ref().map(|o| o.publish.start());
+        let span = self.publish_span.as_ref().map(SpanTimer::start);
         self.revision += 1;
         let next = Arc::new(RankedSnapshot::build(self.revision, ranked));
         let delta = diff(
@@ -323,9 +300,6 @@ impl Publisher {
         self.last = next;
         self.stats.publishes += 1;
         drop(span);
-        if let Some(obs) = &self.obs {
-            obs.sync(&self.stats, self.revision, &self.governor.stats());
-        }
         self.revision
     }
 
@@ -339,9 +313,6 @@ impl Publisher {
     ) -> Option<u64> {
         if self.last_source == Some(source_revision) {
             self.stats.skipped += 1;
-            if let Some(obs) = &self.obs {
-                obs.sync(&self.stats, self.revision, &self.governor.stats());
-            }
             return None;
         }
         self.last_source = Some(source_revision);
@@ -588,14 +559,16 @@ mod tests {
     }
 
     #[test]
-    fn obs_mirrors_publish_stats() {
+    fn collect_renders_publish_stats() {
         let obs = Obs::default();
         let mut publisher = Publisher::new(GovernorConfig::default());
         publisher.set_obs(&obs);
         publisher.publish_if_changed(5, &[]);
         publisher.publish_if_changed(5, &[]);
         publisher.publish_if_changed(6, &[]);
-        let snapshot = obs.snapshot();
+        let mut snapshot = obs.snapshot();
+        assert_eq!(snapshot.counter("serve.publishes"), None, "not copied in");
+        publisher.collect(&mut snapshot);
         assert_eq!(snapshot.counter("serve.publishes"), Some(2));
         assert_eq!(snapshot.counter("serve.skipped"), Some(1));
         assert_eq!(snapshot.gauge("serve.revision"), Some(2.0));
@@ -603,6 +576,23 @@ mod tests {
             .histogram("serve.publish_ns")
             .expect("publish span registered");
         assert_eq!(publish_ns.count, 2);
+    }
+
+    #[test]
+    fn collect_counts_reads_admitted_since_the_last_publish() {
+        let mut publisher = Publisher::new(GovernorConfig::default());
+        publisher.publish(Vec::new());
+        let handle = publisher.handle(ClientClass::Interactive);
+        for _ in 0..3 {
+            handle.query().expect("within the default burst");
+        }
+        let mut snapshot = RegistrySnapshot::default();
+        publisher.collect(&mut snapshot);
+        assert_eq!(snapshot.counter("serve.admitted"), Some(3));
+        assert_eq!(
+            snapshot.counter("serve.admitted"),
+            Some(publisher.governor_stats().total_admitted())
+        );
     }
 
     #[test]

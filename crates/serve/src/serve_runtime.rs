@@ -39,10 +39,10 @@ impl ServeRuntime {
         Self { runtime, publisher }
     }
 
-    /// Attaches observability to both halves: the wrapped runtime
-    /// ([`ShardedRuntime::set_obs`] — `runtime.*` and `engine.*`) and
-    /// the publisher ([`Publisher::set_obs`] — `serve.*`), all into one
-    /// registry.
+    /// Attaches observability to both halves — the wrapped runtime's
+    /// tick/merge histograms and engine spans
+    /// ([`ShardedRuntime::set_obs`]) and the publisher's publish span
+    /// ([`Publisher::set_obs`]) — all into one registry.
     pub fn set_obs(&mut self, obs: &arb_obs::Obs) {
         self.runtime.set_obs(obs);
         self.publisher.set_obs(obs);

@@ -3,10 +3,10 @@
 //!
 //! Two runs of the same seeded scenario — one with `arb-obs` wired in,
 //! one without — must make bit-identical decisions and report identical
-//! legacy stats. And the instrumented run's exported registry snapshot
-//! must reproduce the legacy `StreamStats` / `IngestStats` displays
-//! counter for counter: the migration kept the old structs as the
-//! source of truth, so the registry is a mirror, never a fork.
+//! stats. And the instrumented run's exported snapshot
+//! (`metrics_snapshot()`) must reproduce the `StreamStats` /
+//! `IngestStats` displays counter for counter: the structs are the only
+//! copy of those counters, and the snapshot reads them.
 
 use arbloops::bot::BotAction;
 use arbloops::prelude::*;
@@ -121,7 +121,7 @@ fn streaming_bot_registry_reproduces_stream_stats_without_perturbing_decisions()
             chain.mine_block();
         }
         let stats = *bot.stream_stats().expect("streaming mode ran");
-        let snapshot = bot.obs().map(|obs| obs.snapshot());
+        let snapshot = bot.metrics_snapshot();
         let metrics = bot.metrics();
         (actions, stats, snapshot, metrics)
     };
@@ -197,7 +197,7 @@ fn ingest_bot_registry_reproduces_ingest_stats_without_perturbing_decisions() {
         }
         let stats = bot.ingest_stats();
         let batches = bot.driver().batches_applied();
-        let snapshot = bot.obs().map(|obs| obs.snapshot());
+        let snapshot = bot.metrics_snapshot();
         (actions, stats, batches, snapshot)
     };
 
