@@ -1,4 +1,4 @@
-//! 10k-pool soak: batch cold-start screening + adaptive sharded streaming.
+//! 10k-pool soak: batch cold-start screening + sharded streaming.
 //!
 //! The workload is the catalog's `whale-bursts` entry sized to 10,000
 //! pools through the shared [`ScenarioConfig::sized`] knob — the 10k–100k
@@ -10,18 +10,16 @@
 //!   screening (log-sum + pool/per-hop floor bounds) classifies **≥ 50%
 //!   fewer cycles** than the unscreened path.
 //! * **stream**: the full tick stream through one `StreamingEngine` and
-//!   through a `ShardedRuntime` with adaptive rebalancing enabled
-//!   (hot-shard splitting at bridge boundaries + weighted component
-//!   placement). Final rankings must be bit-identical regardless of how
-//!   many rebalances fired; per-tick latencies feed the `tick_p99_ns`
-//!   counter CI's trend gate watches (> 20% regression fails the build).
+//!   through a `ShardedRuntime` on the static component partition. Final
+//!   rankings must be bit-identical; per-tick latencies feed the
+//!   `tick_p99_ns` counter CI's trend gate watches (> 20% regression
+//!   fails the build).
 //!
 //! The JSON line goes to `BENCH_soak.json` via the workflow's tee+grep.
 
 use arb_bench::json::JsonLine;
 use arb_engine::{
-    ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, RebalanceConfig, ShardedRuntime,
-    StreamingEngine,
+    ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, ShardedRuntime, StreamingEngine,
 };
 use arb_graph::TokenGraph;
 use arb_workloads::{find, Scenario, ScenarioConfig};
@@ -30,9 +28,8 @@ use std::time::Instant;
 
 const POOLS: usize = 10_000;
 const TICKS: usize = 24;
-/// More shards than the universe's 4 execution domains, so adaptive
-/// splitting has headroom to peel hot blocks off the dominant component.
-const MAX_SHARDS: usize = 6;
+/// One shard per execution domain: the universe has 4 components.
+const MAX_SHARDS: usize = 4;
 
 fn scenario() -> Scenario {
     find("whale-bursts")
@@ -103,7 +100,7 @@ fn soak(_c: &mut Criterion) {
         - screened.stats.cycles_classified as f64
             / unscreened.stats.cycles_classified.max(1) as f64;
 
-    // --- Stream: single engine vs adaptively rebalanced sharded fleet. ---
+    // --- Stream: single engine vs sharded fleet. ---
     let mut feed = scenario.feed.clone();
     let mut single = StreamingEngine::new(
         OpportunityPipeline::new(config(true)),
@@ -128,16 +125,7 @@ fn soak(_c: &mut Criterion) {
         scenario.pools.clone(),
         MAX_SHARDS,
     )
-    .expect("runtime")
-    .with_rebalance(RebalanceConfig {
-        interval_ticks: 2,
-        // Whale bursts spread across all 4 domains, so inter-domain skew
-        // is mild; a tight threshold keeps the adaptive path hot enough
-        // to measure (bit-identity holds at any setting).
-        skew_threshold: 1.05,
-        min_window_events: 64,
-        ..RebalanceConfig::enabled()
-    });
+    .expect("runtime");
     runtime.refresh(&feed).expect("cold start");
     let mut tick_ns = Vec::with_capacity(TICKS);
     let mut last_sharded = Vec::new();
@@ -152,7 +140,6 @@ fn soak(_c: &mut Criterion) {
     }
     assert_identical("stream", &last_sharded, &last_single);
 
-    let stats = *runtime.stats();
     let loads = runtime.shard_loads();
     let screen = runtime.screen_totals();
     let tick_p99_ns = percentile_ns(&tick_ns, 0.99);
@@ -179,7 +166,6 @@ fn soak(_c: &mut Criterion) {
         .count("stream_screened_out", screen.cycles_screened_out)
         .count("stream_floor_screened", screen.cycles_floor_screened)
         .count("stream_hop_screened", screen.cycles_hop_screened)
-        .count("rebalances", stats.rebalances)
         .count("shards_final", runtime.shard_count())
         .fixed("load_skew", loads.skew(), 3)
         .emit();

@@ -9,14 +9,14 @@ use arb_dexsim::chain::{Chain, EventCursor};
 use arb_dexsim::state::AccountId;
 use arb_engine::{
     ArbitrageOpportunity, OpportunityPipeline, PipelineConfig, RuntimeStats, ScreenTotals,
-    ShardLoads, ShardedRuntime, SharedStrategy, StreamStats, StreamingEngine,
+    ShardLoads, ShardedRuntime, SharedStrategy, StreamStats,
 };
 use arb_obs::RegistrySnapshot;
 use arb_serve::{
     ClientClass, GovernorConfig, GovernorStats, PublishStats, Publisher, ServeHandle, Subscription,
 };
 
-use crate::config::{BotConfig, ScanMode, StrategyChoice};
+use crate::config::{BotConfig, StrategyChoice};
 use crate::error::BotError;
 use crate::execution;
 use crate::obs::{BotObs, ExportSink, ObsConfig};
@@ -60,32 +60,23 @@ pub enum BotAction {
     },
 }
 
-/// The bot's live streaming view: an incremental engine plus its
-/// position in the chain's event log.
+/// The bot's market view: a sharded runtime plus its position in the
+/// chain's event log.
 #[derive(Debug)]
-struct StreamState {
-    engine: StreamingEngine,
-    cursor: EventCursor,
-}
-
-/// The bot's sharded view: a multi-engine runtime plus its position in
-/// the chain's event log.
-#[derive(Debug)]
-struct ShardedState {
+struct MarketView {
     runtime: ShardedRuntime,
     cursor: EventCursor,
 }
 
-/// The arbitrage bot: owns an account, a configuration, and the engine
-/// pipeline built from it. In [`ScanMode::Streaming`] it also owns a
-/// [`StreamingEngine`] kept in sync with the chain's event stream.
+/// The arbitrage bot: owns an account, a configuration, the engine
+/// pipeline built from it, and a [`ShardedRuntime`] (capped at
+/// [`BotConfig::shards`]) kept in sync with the chain's event stream.
 #[derive(Debug)]
 pub struct ArbBot {
     account: AccountId,
     config: BotConfig,
     pipeline: OpportunityPipeline,
-    stream: Option<StreamState>,
-    sharded: Option<ShardedState>,
+    view: Option<MarketView>,
     serving: Option<Publisher>,
     obs: Option<BotObs>,
 }
@@ -93,15 +84,14 @@ pub struct ArbBot {
 impl Clone for ArbBot {
     fn clone(&self) -> Self {
         // The pipeline is a pure function of the config; rebuild it. The
-        // streaming view re-synchronizes lazily on the clone's first
-        // step. The serving side-car and observability are not cloned —
+        // market view re-synchronizes lazily on the clone's first step.
+        // The serving side-car and observability are not cloned —
         // readers attach to one publisher, and a clone must opt back in.
         ArbBot {
             account: self.account,
             config: self.config,
             pipeline: pipeline_for(&self.config),
-            stream: None,
-            sharded: None,
+            view: None,
             serving: None,
             obs: None,
         }
@@ -140,8 +130,7 @@ impl ArbBot {
             account: chain.create_account(),
             pipeline: pipeline_for(&config),
             config,
-            stream: None,
-            sharded: None,
+            view: None,
             serving: None,
             obs: None,
         }
@@ -162,22 +151,19 @@ impl ArbBot {
     }
 
     /// Turns on observability: one registry + flight recorder shared by
-    /// every layer the bot owns. The live market view (streaming engine
-    /// or sharded runtime) and the serving publisher are wired
-    /// immediately if present, and lazily as they are (re)built; each
-    /// step records `bot.step_ns` and the step counters. Layer counters
-    /// are read at snapshot time ([`ArbBot::metrics_snapshot`]).
+    /// every layer the bot owns. The live market view and the serving
+    /// publisher are wired immediately if present, and lazily as they
+    /// are (re)built; each step records `bot.step_ns` and the step
+    /// counters. Layer counters are read at snapshot time
+    /// ([`ArbBot::metrics_snapshot`]).
     /// Idempotent.
     pub fn enable_observability(&mut self, config: ObsConfig) {
         if self.obs.is_some() {
             return;
         }
         let bot_obs = BotObs::new(&config);
-        if let Some(state) = &mut self.stream {
-            state.engine.set_obs(bot_obs.obs());
-        }
-        if let Some(state) = &mut self.sharded {
-            state.runtime.set_obs(bot_obs.obs());
+        if let Some(view) = &mut self.view {
+            view.runtime.set_obs(bot_obs.obs());
         }
         if let Some(publisher) = &mut self.serving {
             publisher.set_obs(bot_obs.obs());
@@ -192,17 +178,13 @@ impl ArbBot {
     }
 
     /// Every series this bot owns, read now: the registry merged with
-    /// the live layers' counters — `engine.*` and, when sharded,
-    /// `runtime.*` from the market view, `serve.*` from the publisher.
-    /// A layer's series restart with it (a desynchronized view is
-    /// rebuilt from zero). `None` until observability is enabled.
+    /// the live layers' counters — `engine.*` and `runtime.*` from the
+    /// market view, `serve.*` from the publisher. A layer's series
+    /// restart with it (a desynchronized view is rebuilt from zero). `None` until observability is enabled.
     pub fn metrics_snapshot(&self) -> Option<RegistrySnapshot> {
         let mut snapshot = self.obs()?.snapshot();
-        if let Some(state) = &self.stream {
-            state.engine.stats().collect(&mut snapshot);
-        }
-        if let Some(state) = &self.sharded {
-            state.runtime.collect(&mut snapshot);
+        if let Some(view) = &self.view {
+            view.runtime.collect(&mut snapshot);
         }
         if let Some(publisher) = &self.serving {
             publisher.collect(&mut snapshot);
@@ -257,48 +239,43 @@ impl ArbBot {
         &self.config
     }
 
-    /// Streaming counters, once the event-driven view is live (`None` in
-    /// batch mode and before the first streaming step).
-    pub fn stream_stats(&self) -> Option<&StreamStats> {
-        self.stream.as_ref().map(|s| s.engine.stats())
+    /// The market view's engine counters, summed over every shard and
+    /// cumulative across repartitions ([`ShardedRuntime::fleet_stats`]).
+    /// `None` before the first step and after a desync fallback.
+    pub fn stream_stats(&self) -> Option<StreamStats> {
+        self.view.as_ref().map(|v| v.runtime.fleet_stats())
     }
 
-    /// Sharded-runtime counters, once the sharded view is live (`None`
-    /// outside [`ScanMode::Sharded`] and before the first sharded step).
+    /// Sharded-runtime counters of the live market view (`None` before
+    /// the first step and after a desync fallback).
     pub fn runtime_stats(&self) -> Option<&RuntimeStats> {
-        self.sharded.as_ref().map(|s| s.runtime.stats())
+        self.view.as_ref().map(|v| v.runtime.stats())
     }
 
-    /// Realized shard count of the live sharded view, if any.
+    /// Realized shard count of the live market view, if any.
     pub fn shard_count(&self) -> Option<usize> {
-        self.sharded.as_ref().map(|s| s.runtime.shard_count())
+        self.view.as_ref().map(|v| v.runtime.shard_count())
     }
 
-    /// Cumulative screen-discharge totals of the live market view: the
-    /// sharded fleet's rebuild-surviving totals in [`ScanMode::Sharded`],
-    /// or the streaming engine's own counters in [`ScanMode::Streaming`],
-    /// in one [`ScreenTotals`] `Display` line. `None` in batch mode and
-    /// before the first step.
+    /// Cumulative screen-discharge totals of the live market view, in
+    /// one [`ScreenTotals`] `Display` line. `None` before the first
+    /// step.
     pub fn screen_totals(&self) -> Option<ScreenTotals> {
-        if let Some(state) = &self.sharded {
-            return Some(state.runtime.screen_totals());
-        }
-        self.stream
-            .as_ref()
-            .map(|state| ScreenTotals::from(state.engine.stats()))
+        self.view.as_ref().map(|v| v.runtime.screen_totals())
     }
 
-    /// Per-shard load picture of the live sharded view — routed events in
-    /// the current observation window, cumulative evaluations, and the
-    /// rebalance count — as one [`ShardLoads`] `Display` line. `None`
-    /// outside [`ScanMode::Sharded`] and before the first sharded step.
+    /// Per-shard load picture of the live market view — routed events
+    /// and evaluations per shard since the last repartition — as one
+    /// [`ShardLoads`] `Display` line. `None` before the first step.
     pub fn shard_loads(&self) -> Option<ShardLoads> {
-        self.sharded.as_ref().map(|s| s.runtime.shard_loads())
+        self.view.as_ref().map(|v| v.runtime.shard_loads())
     }
 
-    /// One decision step: bring the market view current (incrementally in
-    /// [`ScanMode::Streaming`], by full rescan in [`ScanMode::Batch`]) and
-    /// submit a flash bundle for the best executable opportunity.
+    /// One decision step: bring the market view current from the chain's
+    /// new events and submit a flash bundle for the best executable
+    /// opportunity. The first step pays one full build (cold start); a
+    /// desynchronized view is dropped and the step falls back to a full
+    /// rescan ([`scanner::discover`]), re-synchronizing next step.
     ///
     /// The transaction is only *submitted*; the caller mines the block.
     ///
@@ -313,11 +290,7 @@ impl ArbBot {
     ) -> Result<BotAction, BotError> {
         let step_timer = self.obs.as_ref().map(BotObs::step_timer);
         let step_span = step_timer.as_ref().map(arb_obs::SpanTimer::start);
-        let opportunities = match self.config.mode {
-            ScanMode::Batch => scanner::discover(chain, &self.pipeline, feed)?.opportunities,
-            ScanMode::Streaming => self.streaming_opportunities(chain, feed)?,
-            ScanMode::Sharded => self.sharded_opportunities(chain, feed)?,
-        };
+        let opportunities = self.market_opportunities(chain, feed)?;
         self.publish(&opportunities);
         let action = execution::submit_best(chain, self.account, &opportunities)?;
         drop(step_span);
@@ -331,20 +304,15 @@ impl ArbBot {
     }
 
     /// Publishes the ranking this step acted on, when serving is
-    /// enabled. Incremental views key the publish on their standing
-    /// revision so quiet steps skip; batch scans (including the desync
-    /// fallback, which drops the incremental view) have no revision to
-    /// anchor on and re-publish unconditionally.
+    /// enabled. The live view keys the publish on its standing revision
+    /// so quiet steps skip; the desync fallback's rescan (which drops
+    /// the view) has no revision to anchor on and re-publishes
+    /// unconditionally.
     fn publish(&mut self, opportunities: &[ArbitrageOpportunity]) {
         let Some(publisher) = self.serving.as_mut() else {
             return;
         };
-        let source = match self.config.mode {
-            ScanMode::Sharded => self.sharded.as_ref().map(|s| s.runtime.standing_revision()),
-            ScanMode::Streaming => self.stream.as_ref().map(|s| s.engine.standing_revision()),
-            ScanMode::Batch => None,
-        };
-        match source {
+        match self.view.as_ref().map(|v| v.runtime.standing_revision()) {
             Some(revision) => {
                 publisher.publish_if_changed(revision, opportunities);
             }
@@ -355,87 +323,43 @@ impl ArbBot {
         }
     }
 
-    /// The event-driven path: drain new chain events into the streaming
-    /// engine and return its standing ranking. The first step pays one
-    /// full build (cold start); a desynchronized stream is dropped and
-    /// the step falls back to a batch scan, re-synchronizing next step.
-    fn streaming_opportunities<F: PriceFeed>(
+    /// Drains new chain events into the sharded runtime and returns the
+    /// merged global ranking, building the view first if there is none.
+    fn market_opportunities<F: PriceFeed + Sync>(
         &mut self,
         chain: &Chain,
         feed: &F,
     ) -> Result<Vec<ArbitrageOpportunity>, BotError> {
-        if self.stream.is_none() {
-            let mut state = self.build_stream(chain)?;
+        if self.view.is_none() {
+            let mut view = self.build_view(chain)?;
             if let Some(obs) = &self.obs {
-                state.engine.set_obs(obs.obs());
+                view.runtime.set_obs(obs.obs());
             }
-            self.stream = Some(state);
+            self.view = Some(view);
         }
-        let state = self.stream.as_mut().expect("initialized above");
-        let events = chain.drain_events(&mut state.cursor);
-        match state.engine.apply_events(&events, feed) {
+        let view = self.view.as_mut().expect("initialized above");
+        let events = chain.drain_events(&mut view.cursor);
+        match view.runtime.apply_events(&events, feed) {
             Ok(report) => Ok(report.opportunities),
             Err(_) => {
                 // Fallback path: drop the stale view, serve this block
-                // from a full rescan, rebuild the stream next step.
-                self.stream = None;
+                // from a full rescan, rebuild the view next step.
+                self.view = None;
                 Ok(scanner::discover(chain, &self.pipeline, feed)?.opportunities)
             }
         }
     }
 
-    /// Builds a streaming engine over the chain's *current* pool set and
+    /// Builds the sharded runtime over the chain's *current* pool set and
     /// subscribes at the current end of the event log, so the pair stays
     /// consistent: state now + every event after now. Degenerate pools
     /// enter as retired slots (keeping `PoolId`s chain-aligned) and
     /// revive through their next valid `Sync`.
-    fn build_stream(&self, chain: &Chain) -> Result<StreamState, BotError> {
+    fn build_view(&self, chain: &Chain) -> Result<MarketView, BotError> {
         let graph = scanner::graph_from_chain(chain)?;
-        let engine = StreamingEngine::with_graph(pipeline_for(&self.config), graph)
+        let runtime = ShardedRuntime::with_graph(self.pipeline.clone(), graph, self.config.shards)
             .map_err(BotError::from)?;
-        Ok(StreamState {
-            engine,
-            cursor: chain.subscribe(),
-        })
-    }
-
-    /// The sharded path: drain new chain events into the multi-engine
-    /// runtime and return the merged global ranking. Cold start and
-    /// desync fallback mirror [`ArbBot::streaming_opportunities`].
-    fn sharded_opportunities<F: PriceFeed + Sync>(
-        &mut self,
-        chain: &Chain,
-        feed: &F,
-    ) -> Result<Vec<ArbitrageOpportunity>, BotError> {
-        if self.sharded.is_none() {
-            let mut state = self.build_sharded(chain)?;
-            if let Some(obs) = &self.obs {
-                state.runtime.set_obs(obs.obs());
-            }
-            self.sharded = Some(state);
-        }
-        let state = self.sharded.as_mut().expect("initialized above");
-        let events = chain.drain_events(&mut state.cursor);
-        match state.runtime.apply_events(&events, feed) {
-            Ok(report) => Ok(report.opportunities),
-            Err(_) => {
-                // Fallback path: drop the stale fleet, serve this block
-                // from a full rescan, rebuild the runtime next step.
-                self.sharded = None;
-                Ok(scanner::discover(chain, &self.pipeline, feed)?.opportunities)
-            }
-        }
-    }
-
-    /// Builds the sharded runtime over the chain's current pool set (the
-    /// same slot-aligned graph the streaming engine mirrors) and
-    /// subscribes at the current end of the event log.
-    fn build_sharded(&self, chain: &Chain) -> Result<ShardedState, BotError> {
-        let graph = scanner::graph_from_chain(chain)?;
-        let runtime =
-            ShardedRuntime::with_graph(pipeline_for(&self.config), graph, self.config.shards)
-                .map_err(BotError::from)?;
-        Ok(ShardedState {
+        Ok(MarketView {
             runtime,
             cursor: chain.subscribe(),
         })
@@ -555,72 +479,124 @@ mod tests {
         assert!(matches!(action, BotAction::Idle));
     }
 
-    #[test]
-    fn streaming_and_batch_bots_make_identical_decisions() {
-        // Same chain, same feed, same seed of perturbations: the
-        // event-driven bot must submit exactly what the rescan bot does.
-        let run = |mode: ScanMode| {
-            let mut chain = paper_chain();
-            let mut bot = ArbBot::new(
-                &mut chain,
-                BotConfig {
-                    mode,
-                    ..BotConfig::default()
-                },
-            );
-            let whale = chain.create_account();
-            chain.mint(whale, t(0), to_raw(1_000.0));
-            let mut actions = Vec::new();
-            for i in 0..6 {
-                // A whale trade perturbs pool 0 between bot steps.
-                chain.submit(Transaction::Swap {
-                    account: whale,
-                    pool: arb_amm::pool::PoolId::new(0),
-                    token_in: t(0),
-                    amount_in: to_raw(2.0 + i as f64),
-                    min_out: 0,
-                });
-                chain.mine_block();
-                let action = bot.step(&mut chain, &paper_feed()).unwrap();
-                chain.mine_block();
-                actions.push(match action {
-                    BotAction::Idle => None,
-                    BotAction::Submitted { expected, hops } => {
-                        Some((expected.value().to_bits(), hops))
-                    }
-                });
-            }
-            (actions, chain.state().digest())
-        };
-        let (streaming_actions, streaming_digest) = run(ScanMode::Streaming);
-        let (batch_actions, batch_digest) = run(ScanMode::Batch);
-        let (sharded_actions, sharded_digest) = run(ScanMode::Sharded);
-        assert_eq!(streaming_actions, batch_actions);
-        assert_eq!(streaming_digest, batch_digest);
-        assert_eq!(sharded_actions, batch_actions);
-        assert_eq!(sharded_digest, batch_digest);
-        assert!(
-            streaming_actions.iter().any(Option::is_some),
-            "perturbations should open executable opportunities"
-        );
-    }
-
-    #[test]
-    fn sharded_bot_tracks_events_and_reports_runtime_stats() {
+    /// The paper triangle plus a second, disjoint triangle, so the
+    /// partition has two components; the feed prices both.
+    fn two_component_chain() -> Chain {
         let mut chain = paper_chain();
-        // A second, disjoint triangle so the partition has two components.
         let fee = FeeRate::UNISWAP_V2;
         for (a, b) in [(3, 4), (4, 5), (5, 3)] {
             chain
                 .add_pool(t(a), t(b), to_raw(1_000.0), to_raw(1_010.0), fee)
                 .unwrap();
         }
+        chain
+    }
+
+    fn two_component_feed() -> PriceTable {
         let mut feed = paper_feed();
         feed.extend((3..6).map(|i| (t(i), 1.0)));
+        feed
+    }
+
+    /// Per-block decisions reduced to comparable bits, plus the final
+    /// chain digest.
+    type Decisions = (Vec<Option<(u64, usize)>>, u64);
+
+    /// Six whale-perturbed blocks: before each decision a whale swaps
+    /// into every `(pool, token_in)` of `flow`. The decider is an
+    /// [`ArbBot`] under `config`, or — with `None` — the batch oracle: a
+    /// full [`scanner::discover`] rescan plus [`execution::submit_best`]
+    /// every block. Returns the decisions and the bot's realized shard
+    /// count.
+    fn whale_run(
+        mut chain: Chain,
+        feed: &PriceTable,
+        flow: &[(u32, u32)],
+        config: Option<BotConfig>,
+    ) -> (Decisions, Option<usize>) {
+        let oracle_pipeline = pipeline_for(&BotConfig::default());
+        let mut bot = config.map(|config| ArbBot::new(&mut chain, config));
+        let account = match &bot {
+            Some(bot) => bot.account(),
+            None => chain.create_account(),
+        };
+        let whale = chain.create_account();
+        for &(_, token) in flow {
+            chain.mint(whale, t(token), to_raw(1_000.0));
+        }
+        let mut actions = Vec::new();
+        for i in 0..6 {
+            for &(pool, token) in flow {
+                chain.submit(Transaction::Swap {
+                    account: whale,
+                    pool: arb_amm::pool::PoolId::new(pool),
+                    token_in: t(token),
+                    amount_in: to_raw(2.0 + i as f64),
+                    min_out: 0,
+                });
+            }
+            chain.mine_block();
+            let action = match bot.as_mut() {
+                Some(bot) => bot.step(&mut chain, feed).unwrap(),
+                None => {
+                    let ranked = scanner::discover(&chain, &oracle_pipeline, feed)
+                        .unwrap()
+                        .opportunities;
+                    execution::submit_best(&mut chain, account, &ranked).unwrap()
+                }
+            };
+            chain.mine_block();
+            actions.push(match action {
+                BotAction::Idle => None,
+                BotAction::Submitted { expected, hops } => Some((expected.value().to_bits(), hops)),
+            });
+        }
+        let shards = bot.as_ref().and_then(ArbBot::shard_count);
+        ((actions, chain.state().digest()), shards)
+    }
+
+    /// The runtime-stepping bot must submit exactly what a per-block full
+    /// rescan does, whether it runs one engine or a fleet.
+    fn assert_bot_matches_rescan(
+        chain: Chain,
+        feed: PriceTable,
+        flow: &[(u32, u32)],
+        components: usize,
+    ) {
+        let (oracle, _) = whale_run(chain.clone(), &feed, flow, None);
+        assert!(
+            oracle.0.iter().any(Option::is_some),
+            "perturbations should open executable opportunities"
+        );
+        for shards in [1, BotConfig::default().shards] {
+            let config = BotConfig {
+                shards,
+                ..BotConfig::default()
+            };
+            let (decisions, realized) = whale_run(chain.clone(), &feed, flow, Some(config));
+            assert_eq!(realized, Some(shards.min(components)));
+            assert_eq!(decisions, oracle, "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn bot_decides_like_a_full_rescan_at_every_shard_cap() {
+        assert_bot_matches_rescan(paper_chain(), paper_feed(), &[(0, 0)], 1);
+        assert_bot_matches_rescan(
+            two_component_chain(),
+            two_component_feed(),
+            &[(0, 0), (3, 3)],
+            2,
+        );
+    }
+
+    #[test]
+    fn sharded_bot_tracks_events_and_reports_runtime_stats() {
+        let mut chain = two_component_chain();
+        let feed = two_component_feed();
         let mut bot = ArbBot::new(
             &mut chain,
             BotConfig {
-                mode: ScanMode::Sharded,
                 shards: 2,
                 ..BotConfig::default()
             },
@@ -652,22 +628,15 @@ mod tests {
         assert!(line.contains("screened"), "{line}");
         assert!(!line.contains('\n'));
         let loads = bot.shard_loads().unwrap();
-        assert_eq!(loads.window_events.len(), 2);
-        assert!(loads.window_events.iter().sum::<u64>() > 0, "{loads}");
-        assert_eq!(loads.rebalances, 0);
+        assert_eq!(loads.routed_events.len(), 2);
+        assert!(loads.routed_events.iter().sum::<u64>() > 0, "{loads}");
         assert!(!loads.to_string().contains('\n'));
     }
 
     #[test]
     fn serving_bot_publishes_the_ranking_it_acts_on() {
         let mut chain = paper_chain();
-        let mut bot = ArbBot::new(
-            &mut chain,
-            BotConfig {
-                mode: ScanMode::Sharded,
-                ..BotConfig::default()
-            },
-        );
+        let mut bot = ArbBot::new(&mut chain, BotConfig::default());
         assert!(bot.serve_handle(ClientClass::Interactive).is_none());
         assert!(bot.serve_stats().is_none());
         bot.enable_serving(GovernorConfig::default());
@@ -702,18 +671,22 @@ mod tests {
     fn telemetry_is_none_before_first_step() {
         let mut chain = paper_chain();
         let mut bot = ArbBot::new(&mut chain, BotConfig::default());
+        assert!(bot.stream_stats().is_none());
+        assert!(bot.runtime_stats().is_none());
         assert!(bot.screen_totals().is_none());
         assert!(bot.shard_loads().is_none());
-        // The default mode is streaming: after a step the screen totals
-        // surface through the same accessor, loads stay sharded-only.
+        assert!(bot.shard_count().is_none());
+        // The first step builds the market view; every accessor reads it.
         bot.step(&mut chain, &paper_feed()).unwrap();
         assert!(bot.stream_stats().is_some());
+        assert_eq!(bot.runtime_stats().map(|s| s.ticks), Some(1));
         assert!(bot.screen_totals().is_some());
-        assert!(bot.shard_loads().is_none());
+        assert_eq!(bot.shard_loads().map(|l| l.routed_events.len()), Some(1));
+        assert_eq!(bot.shard_count(), Some(1), "one component, one shard");
     }
 
     #[test]
-    fn streaming_bot_tracks_pools_created_after_cold_start() {
+    fn bot_tracks_pools_created_after_cold_start() {
         let mut chain = paper_chain();
         let mut bot = ArbBot::new(&mut chain, BotConfig::default());
         // Cold start over the original triangle.
@@ -729,6 +702,8 @@ mod tests {
         let stats = bot.stream_stats().unwrap();
         assert_eq!(stats.pools_added, 1);
         assert!(stats.cycles_added > 0, "{stats}");
+        let runtime = bot.runtime_stats().unwrap();
+        assert_eq!((runtime.broadcasts, runtime.rebuilds), (1, 0), "{runtime}");
     }
 
     #[test]

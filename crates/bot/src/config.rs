@@ -14,33 +14,9 @@ pub enum StrategyChoice {
     Convex,
 }
 
-/// How the bot keeps its market view current between blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanMode {
-    /// Event-driven (default): the bot subscribes to the chain's event
-    /// stream, applies reserve deltas to a persistent graph + cycle
-    /// index, and re-evaluates only the cycles each block touched. The
-    /// first step (and any stream desync) falls back to a full batch
-    /// scan and re-synchronizes.
-    #[default]
-    Streaming,
-    /// Event-driven across a fleet: the pool universe is partitioned
-    /// along connected components into [`BotConfig::shards`] shards, one
-    /// streaming engine each on a worker pool, with per-shard rankings
-    /// merged into the same global order streaming mode produces.
-    /// Fallback behavior matches [`ScanMode::Streaming`].
-    Sharded,
-    /// Rebuild the graph and re-enumerate every cycle from chain state
-    /// on every step — the original full-rescan behavior.
-    Batch,
-}
-
 /// Bot tuning parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct BotConfig {
-    /// Scan loop flavor: incremental event-driven or full per-block
-    /// rescan.
-    pub mode: ScanMode,
     /// Longest loop length scanned (the paper studies 3 and 4).
     pub max_loop_len: usize,
     /// Ignore opportunities below this monetized profit (gas floor).
@@ -51,16 +27,15 @@ pub struct BotConfig {
     pub method: Method,
     /// Solver options for Convex.
     pub convex: SolverOptions,
-    /// Shard-count cap for [`ScanMode::Sharded`] (the realized count is
-    /// bounded by the universe's connected components). Ignored in the
-    /// other modes.
+    /// Shard-count cap of the bot's sharded runtime (the realized count
+    /// is bounded by the universe's connected components; 1 runs a
+    /// single streaming engine).
     pub shards: usize,
 }
 
 impl Default for BotConfig {
     fn default() -> Self {
         BotConfig {
-            mode: ScanMode::Streaming,
             max_loop_len: 3,
             min_profit_usd: 1.0,
             strategy: StrategyChoice::MaxMax,
@@ -78,7 +53,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = BotConfig::default();
-        assert_eq!(c.mode, ScanMode::Streaming);
         assert_eq!(c.max_loop_len, 3);
         assert!(c.min_profit_usd > 0.0);
         assert_eq!(c.strategy, StrategyChoice::MaxMax);

@@ -53,7 +53,7 @@ pub mod scanner;
 pub mod sim;
 
 pub use bot::{pipeline_for, ArbBot, BotAction, ServeTelemetry};
-pub use config::{BotConfig, ScanMode, StrategyChoice};
+pub use config::{BotConfig, StrategyChoice};
 pub use error::BotError;
 pub use ingest_bot::{IngestBot, JournalSettings};
 pub use obs::{ExportSink, ObsConfig};

@@ -312,7 +312,6 @@ mod tests {
             let config = MarketSimConfig::from_workload(
                 spec,
                 BotConfig {
-                    mode: crate::config::ScanMode::Sharded,
                     min_profit_usd: 0.5,
                     ..BotConfig::default()
                 },

@@ -18,8 +18,11 @@ pub enum ConvexError {
     Amm(arb_amm::AmmError),
     /// The interior-point solver failed.
     Solver(NumericsError),
-    /// No strictly feasible interior point could be constructed for a loop
-    /// that appeared profitable (numerically degenerate edge case).
+    /// The loop appeared profitable but sits so close to break-even that
+    /// its strictly feasible interior is too thin for f64: no interior
+    /// starting point could be constructed, or the barrier solve failed
+    /// on a loop no plan of which can beat the solver's duality-gap
+    /// tolerance. Not worth trading; callers may skip the loop.
     FeasibilityConstruction,
 }
 
@@ -36,7 +39,7 @@ impl fmt::Display for ConvexError {
             ConvexError::Amm(e) => write!(f, "amm error: {e}"),
             ConvexError::Solver(e) => write!(f, "solver error: {e}"),
             ConvexError::FeasibilityConstruction => {
-                write!(f, "could not construct a strictly feasible starting point")
+                write!(f, "loop interior too thin to solve (near break-even)")
             }
         }
     }

@@ -132,10 +132,14 @@ impl LoopProblem {
     ///
     /// # Errors
     ///
-    /// * [`ConvexError::FeasibilityConstruction`] if an interior starting
-    ///   point cannot be built despite apparent profitability (only
-    ///   possible within ~`rate_tolerance` of break-even).
-    /// * [`ConvexError::Solver`] if the barrier method fails.
+    /// * [`ConvexError::FeasibilityConstruction`] if the loop's interior is
+    ///   too thin to solve in: an interior starting point cannot be built
+    ///   despite apparent profitability (only possible within
+    ///   ~`rate_tolerance` of break-even), or the barrier method fails on
+    ///   a loop no plan of which can be worth the solver's duality-gap
+    ///   tolerance.
+    /// * [`ConvexError::Solver`] if the barrier method fails on any other
+    ///   loop.
     pub fn solve(&self, opts: &SolverOptions) -> Result<LoopPlan, ConvexError> {
         if !self.is_profitable(opts) {
             return Ok(LoopPlan::zero(&self.prices));
@@ -144,10 +148,62 @@ impl LoopProblem {
             .feasible_inputs()
             .ok_or(ConvexError::FeasibilityConstruction)?;
         let barrier = self.scaled_barrier(&opts.barrier);
-        match opts.formulation {
+        let solved = match opts.formulation {
             Formulation::Reduced => reduced::solve(self, &start, &barrier),
             Formulation::Full => full::solve(self, &start, &barrier),
+        };
+        match solved {
+            // Near break-even the barrier Hessian's condition number grows
+            // like 1/(R − 1)², past what f64 resolves: Newton systems go
+            // singular however hard they are regularized. When no plan can
+            // be worth more than the solver's own gap tolerance, that is
+            // the thin interior again, not a defect.
+            Err(ConvexError::Solver(_)) if self.profit_upper_bound() < barrier.gap_tol => {
+                Err(ConvexError::FeasibilityConstruction)
+            }
+            solved => solved,
         }
+    }
+
+    /// An upper bound on the monetized profit of every feasible plan,
+    /// by weak duality. Pricing each linking constraint at `ν_j ≥ 0`
+    /// leaves independent hops trading at shadow prices
+    /// `Q_j = P_j + ν_j`, and hop `j` alone can earn at most
+    /// `(√(Q_{j+1}·y_j) − √(Q_j·x_j/γ_j))²`. Shadow prices that make
+    /// every hop's marginal rate exactly `ρ = R^{1/n}`, scaled up until
+    /// `Q ≥ P`, give a bound that vanishes like `(R − 1)²` near
+    /// break-even. Zero for unprofitable loops.
+    pub(crate) fn profit_upper_bound(&self) -> f64 {
+        let n = self.hops.len() as f64;
+        let rate = self.round_trip_rate();
+        if rate <= 1.0 {
+            return 0.0;
+        }
+        // ρ − 1 without cancellation, then (√ρ − 1)² = (ρ − 1)²/(√ρ + 1)².
+        let excess = ((rate - 1.0).ln_1p() / n).exp_m1();
+        let gain = (excess / ((1.0 + excess).sqrt() + 1.0)).powi(2);
+        // Q̂_0 = 1 and Q̂_{j+1}·spot_j = Q̂_j·ρ: hop j's marginal rate
+        // in shadow value is ρ, consistently around the loop.
+        let mut shadow = Vec::with_capacity(self.hops.len());
+        let mut q = 1.0;
+        for hop in &self.hops {
+            shadow.push(q);
+            q *= (1.0 + excess) / hop.spot_rate();
+        }
+        let lift = self
+            .prices
+            .iter()
+            .zip(&shadow)
+            .map(|(p, q)| p / q)
+            .fold(0.0f64, f64::max);
+        // With Q = lift·Q̂, hop j's bound is Q_j·(x_j/γ_j)·(√ρ − 1)².
+        lift * gain
+            * self
+                .hops
+                .iter()
+                .zip(&shadow)
+                .map(|(hop, q)| q * hop.reserve_in() / hop.gamma())
+                .sum::<f64>()
     }
 
     /// Scales the initial barrier weight to the problem's profit scale
@@ -270,6 +326,58 @@ mod tests {
             let out = p.hops()[prev].amount_out(a[prev]);
             assert!(out > a[j], "hop {j}: out={out} a={}", a[j]);
         }
+    }
+
+    #[test]
+    fn singular_near_breakeven_loop_is_a_thin_interior() {
+        // A steady-sparse loop 1.9e-9 above break-even whose reduced
+        // Newton systems go singular: worth ~1e-14 dollars, it must be
+        // skipped as a thin interior, not fail as a solver defect.
+        let fee = FeeRate::UNISWAP_V2;
+        let p = LoopProblem::new(
+            vec![
+                SwapCurve::new(64_142.658405, 65_639.192672, fee).unwrap(),
+                SwapCurve::new(62_727.245564, 50_387.328564, fee).unwrap(),
+                SwapCurve::new(113_037.491374, 138_757.237564, fee).unwrap(),
+            ],
+            vec![1.0, 0.9430320466481485, 1.2350777056009716],
+        )
+        .unwrap();
+        let opts = SolverOptions::default();
+        assert!(p.is_profitable(&opts));
+        assert!(p.profit_upper_bound() < 1e-12, "{}", p.profit_upper_bound());
+        for formulation in [Formulation::Reduced, Formulation::Full] {
+            let opts = SolverOptions {
+                formulation,
+                ..opts
+            };
+            assert_eq!(
+                p.solve(&opts),
+                Err(ConvexError::FeasibilityConstruction),
+                "{formulation:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn profit_upper_bound_dominates_the_optimum() {
+        let p = LoopProblem::new(paper_hops(), vec![2.0, 10.2, 20.0]).unwrap();
+        let plan = p.solve(&SolverOptions::default()).unwrap();
+        let bound = p.profit_upper_bound();
+        assert!(bound >= plan.monetized_profit(), "{bound}");
+        // Far from break-even the bound is loose but the same scale.
+        assert!(bound < 10.0 * plan.monetized_profit(), "{bound}");
+        // Unprofitable loops are worth nothing.
+        let fee = FeeRate::UNISWAP_V2;
+        let flat = LoopProblem::new(
+            vec![
+                SwapCurve::new(100.0, 200.0, fee).unwrap(),
+                SwapCurve::new(200.0, 100.0, fee).unwrap(),
+            ],
+            vec![1.0, 1.0],
+        )
+        .unwrap();
+        assert_eq!(flat.profit_upper_bound(), 0.0);
     }
 
     #[test]

@@ -260,6 +260,11 @@ mod tests {
                 plan.monetized_profit() >= mm - 1e-5 * (1.0 + mm),
                 "convex={} maxmax={}", plan.monetized_profit(), mm
             );
+            // The duality bound holds.
+            prop_assert!(
+                p.profit_upper_bound() >= plan.monetized_profit() - 1e-9 * (1.0 + mm),
+                "bound={} convex={}", p.profit_upper_bound(), plan.monetized_profit()
+            );
             // Plans are feasible.
             prop_assert!(plan.max_violation(p.hops()) < 1e-6);
             // Token profits are non-negative (risk-free constraints).

@@ -22,11 +22,14 @@
 //!   graph + persistent cycle index, consumes chain event batches, and
 //!   re-evaluates only the cycles the events touched while keeping a
 //!   standing ranked opportunity set identical to a fresh batch run.
-//! * [`runtime::ShardedRuntime`] — the scale-out layer: partitions the
-//!   universe along connected components, runs one streaming engine per
-//!   shard on a worker pool, routes events to their owning shard, and
-//!   k-way merges the per-shard rankings into one global set that is
-//!   bit-identical to a single engine over the same stream.
+//! * [`runtime::ShardedRuntime`] — the incremental market view every
+//!   live consumer steps: partitions the universe once along connected
+//!   components (repartitioning only when a new pool bridges two
+//!   shards), runs one streaming engine per shard on a worker pool,
+//!   routes events to their owning shard, and k-way merges the
+//!   per-shard rankings into one global set that is bit-identical to a
+//!   single engine over the same stream. One shard is the plain
+//!   streaming engine.
 //! * [`opportunity::ArbitrageOpportunity`] — the uniform result: cycle,
 //!   winning strategy, per-hop optimal inputs, gross/net monetized profit.
 //! * [`ranking`] — pluggable execution-priority policies.
@@ -76,7 +79,6 @@ pub use pipeline::{
 };
 pub use ranking::{RankByGrossProfit, RankByNetProfit, RankByProfitPerHop, RankingPolicy};
 pub use runtime::{
-    RebalanceConfig, RuntimeReport, RuntimeStats, ScreenTotals, ShardLoads, ShardedRuntime,
-    TickHook,
+    RuntimeReport, RuntimeStats, ScreenTotals, ShardLoads, ShardedRuntime, TickHook,
 };
 pub use streaming::{StreamReport, StreamStats, StreamingEngine};

@@ -624,6 +624,28 @@ mod tests {
     }
 
     #[test]
+    fn near_breakeven_singular_solve_is_skipped_not_fatal() {
+        // A steady-sparse triangle 1.9e-9 above break-even: ConvexOpt's
+        // Newton systems go singular on it. It is worth ~1e-14 dollars,
+        // so the run must count a benign failure and carry on.
+        let fee = FeeRate::UNISWAP_V2;
+        let pools = vec![
+            Pool::new(t(0), t(1), 64_142.658405, 65_639.192672, fee).unwrap(),
+            Pool::new(t(1), t(2), 62_727.245564, 50_387.328564, fee).unwrap(),
+            Pool::new(t(2), t(0), 113_037.491374, 138_757.237564, fee).unwrap(),
+        ];
+        let feed: PriceTable = [
+            (t(0), 1.0),
+            (t(1), 0.9430320466481485),
+            (t(2), 1.2350777056009716),
+        ]
+        .into_iter()
+        .collect();
+        let report = OpportunityPipeline::default().run(pools, &feed).unwrap();
+        assert_eq!(report.stats.evaluation_failures, 1, "{}", report.stats);
+    }
+
+    #[test]
     fn parallel_and_serial_agree_bitwise() {
         let mut pools = paper_pools();
         let fee = FeeRate::UNISWAP_V2;

@@ -25,7 +25,10 @@
 //!   pending work and repartitions from the merged live state — rare,
 //!   counted in [`RuntimeStats::rebuilds`], and equivalence-preserving
 //!   (evaluation is a pure function of reserves + feed, so re-evaluating
-//!   from cold reproduces every standing value bit-for-bit).
+//!   from cold reproduces every standing value bit-for-bit). Short of
+//!   that, the partition never changes: the paper evaluates each loop
+//!   on its own, so a static component partition is all equivalence
+//!   needs.
 //! * **Merging.** Each shard's ranked list is cached against its engine's
 //!   [`StreamingEngine::standing_revision`] and re-cloned only when the
 //!   shard actually changed; the global ranking is a k-way merge under
@@ -85,8 +88,10 @@ pub struct RuntimeStats {
     pub broadcasts: usize,
     /// Full repartitions triggered by cross-shard bridge pools.
     pub rebuilds: usize,
-    /// Adaptive repartitions triggered by dirty-load skew
-    /// ([`RebalanceConfig`]).
+    /// Always 0: the runtime keeps its component partition until a
+    /// bridge pool forces a rebuild. Kept only because the block-stream
+    /// benchmark still reads it; due for removal with the next change
+    /// to that benchmark.
     pub rebalances: usize,
     /// Per-shard refresh passes run (ticks × shards, plus rebuild flushes).
     pub shard_refreshes: usize,
@@ -109,14 +114,13 @@ impl fmt::Display for RuntimeStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} ticks ({} events routed, {} broadcasts, {} rebuilds, \
-             {} rebalances), {} shard refreshes, {} merge cache hits, \
+            "{} ticks ({} events routed, {} broadcasts, {} rebuilds), \
+             {} shard refreshes, {} merge cache hits, \
              {} standing opportunities, last tick {}ns (merge {}ns)",
             self.ticks,
             self.events_routed,
             self.broadcasts,
             self.rebuilds,
-            self.rebalances,
             self.shard_refreshes,
             self.merge_cache_hits,
             self.merged_opportunities,
@@ -136,7 +140,6 @@ impl RuntimeStats {
             ("runtime.events_routed", self.events_routed),
             ("runtime.broadcasts", self.broadcasts),
             ("runtime.rebuilds", self.rebuilds),
-            ("runtime.rebalances", self.rebalances),
             ("runtime.shard_refreshes", self.shard_refreshes),
             ("runtime.merge_cache_hits", self.merge_cache_hits),
         ];
@@ -207,81 +210,28 @@ impl fmt::Display for ScreenTotals {
     }
 }
 
-/// Tuning for adaptive hot-shard rebalancing.
-///
-/// The runtime accumulates per-pool and per-shard routed-event counts
-/// over a rolling window of `interval_ticks` ticks. At each window
-/// boundary, if the busiest shard's window load exceeds
-/// `skew_threshold ×` the mean (or a single engine is serving a
-/// universe that `max_shards` could split), the runtime flushes,
-/// repartitions with [`Partition::new_weighted`] — weighting components
-/// by observed load and splitting the dominant component along bridge
-/// boundaries — and rebuilds the fleet. Every input to the decision is
-/// derived from the journaled event stream (never wall-clock), so a
-/// replay of the same events reproduces the same rebalances, and the
-/// rebuild re-evaluates from reserves + feed alone, so the merged output
-/// stays bit-identical to a single engine whether or not a rebalance
-/// fired.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RebalanceConfig {
-    /// Master switch; disabled keeps the static construction-time
-    /// partition for the runtime's lifetime.
-    pub enabled: bool,
-    /// Window length in ticks between skew checks (0 behaves as 1).
-    pub interval_ticks: usize,
-    /// Rebalance when the busiest shard's window events exceed this
-    /// multiple of the mean shard's.
-    pub skew_threshold: f64,
-    /// Minimum routed events in a window before skew is trusted — keeps
-    /// near-idle fleets from thrashing on noise.
-    pub min_window_events: u64,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            enabled: false,
-            interval_ticks: 8,
-            skew_threshold: 1.5,
-            min_window_events: 32,
-        }
-    }
-}
-
-impl RebalanceConfig {
-    /// An enabled config with the default window and threshold.
-    pub fn enabled() -> Self {
-        RebalanceConfig {
-            enabled: true,
-            ..RebalanceConfig::default()
-        }
-    }
-}
-
-/// Per-shard load telemetry: the dirty-load window driving rebalance
-/// decisions plus the current fleet's evaluation counters.
+/// Per-shard load telemetry of the current fleet: routed events and
+/// evaluations per shard since the last repartition.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardLoads {
-    /// Pool-keyed events routed to each shard in the current rebalance
-    /// window.
-    pub window_events: Vec<u64>,
-    /// Dirty-cycle evaluations per shard (current fleet; rebuilds and
-    /// rebalances reset these, see [`ShardedRuntime::shard_stats`]).
+    /// Pool-keyed events routed to each shard since the last
+    /// repartition (a `PoolCreated` counts once, for its owner).
+    pub routed_events: Vec<u64>,
+    /// Dirty-cycle evaluations per shard (current fleet; a rebuild
+    /// resets these, see [`ShardedRuntime::shard_stats`]).
     pub evaluations: Vec<usize>,
-    /// Lifetime adaptive rebalances ([`RuntimeStats::rebalances`]).
-    pub rebalances: usize,
 }
 
 impl ShardLoads {
-    /// Busiest ÷ mean window load (1.0 for an empty or single-shard
-    /// window) — the number the rebalance threshold is compared against.
+    /// Busiest ÷ mean routed load (1.0 when nothing was routed yet) —
+    /// how unevenly the component partition spreads the event stream.
     pub fn skew(&self) -> f64 {
-        let total: u64 = self.window_events.iter().sum();
-        if total == 0 || self.window_events.is_empty() {
+        let total: u64 = self.routed_events.iter().sum();
+        if total == 0 || self.routed_events.is_empty() {
             return 1.0;
         }
-        let max = *self.window_events.iter().max().expect("non-empty") as f64;
-        max / (total as f64 / self.window_events.len() as f64)
+        let max = *self.routed_events.iter().max().expect("non-empty") as f64;
+        max / (total as f64 / self.routed_events.len() as f64)
     }
 }
 
@@ -289,12 +239,11 @@ impl fmt::Display for ShardLoads {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} shards, window events {:?} (skew {:.2}x), evaluations {:?}, {} rebalances",
-            self.window_events.len(),
-            self.window_events,
+            "{} shards, routed events {:?} (skew {:.2}x), evaluations {:?}",
+            self.routed_events.len(),
+            self.routed_events,
             self.skew(),
-            self.evaluations,
-            self.rebalances
+            self.evaluations
         )
     }
 }
@@ -367,20 +316,13 @@ pub struct ShardedRuntime {
     /// `PoolCreated` slots awaiting retirement in non-owning shards
     /// (processed after the queues drain, before anything re-evaluates).
     pending_retires: Vec<(PoolId, usize)>,
-    /// Counters of the shard engines that rebuilds and rebalances have
-    /// since replaced, so [`ShardedRuntime::fleet_stats`] stays
-    /// cumulative across repartitions.
+    /// Counters of the shard engines that rebuilds have since
+    /// replaced, so [`ShardedRuntime::fleet_stats`] stays cumulative
+    /// across repartitions.
     banked: StreamStats,
-    /// Adaptive rebalancing tuning (off by default).
-    rebalance: RebalanceConfig,
-    /// Routed events per pool slot in the current rebalance window —
-    /// the weights handed to [`Partition::new_weighted`]. Derived purely
-    /// from the event stream, so replays rebalance identically.
-    pool_weights: Vec<u64>,
-    /// Routed events per shard in the current rebalance window.
-    shard_window_events: Vec<u64>,
-    /// Ticks elapsed in the current rebalance window.
-    window_ticks: usize,
+    /// Routed events per shard since the last repartition
+    /// ([`ShardedRuntime::shard_loads`]).
+    shard_events: Vec<u64>,
     /// Bumped whenever a merge found at least one shard whose standing
     /// set moved (see [`ShardedRuntime::standing_revision`]).
     revision: u64,
@@ -434,24 +376,13 @@ impl ShardedRuntime {
             max_shards,
             pending_retires: Vec::new(),
             banked: StreamStats::default(),
-            rebalance: RebalanceConfig::default(),
-            pool_weights: vec![0; graph.pool_count()],
-            shard_window_events: vec![0; shards.len()],
-            window_ticks: 0,
+            shard_events: vec![0; shards.len()],
             revision: 0,
             shards,
             stats: RuntimeStats::default(),
             obs: None,
             tick_hook: None,
         })
-    }
-
-    /// Sets the adaptive-rebalancing policy (builder style; the default
-    /// is disabled). Safe to call on a freshly restored runtime too —
-    /// rebalance bookkeeping always starts from an empty window.
-    pub fn with_rebalance(mut self, config: RebalanceConfig) -> Self {
-        self.rebalance = config;
-        self
     }
 
     /// Installs (or replaces) the per-shard pre-tick [`TickHook`]. Pass
@@ -503,8 +434,8 @@ impl ShardedRuntime {
 
     /// Attaches observability: `runtime.tick_ns`/`runtime.merge_ns`
     /// histograms record every tick, and each shard engine times its
-    /// refresh/rank spans — including the engines a rebuild or
-    /// rebalance builds later. Counters stay in [`RuntimeStats`] and the
+    /// refresh/rank spans — including the engines a rebuild builds
+    /// later. Counters stay in [`RuntimeStats`] and the
     /// engines' [`StreamStats`]; [`ShardedRuntime::collect`] renders
     /// them when a snapshot is read.
     pub fn set_obs(&mut self, obs: &Obs) {
@@ -617,7 +548,6 @@ impl ShardedRuntime {
             self.route(event, feed)?;
         }
         self.flush(feed)?;
-        self.maybe_rebalance(feed)?;
         Ok(self.merge(tick_start))
     }
 
@@ -663,8 +593,7 @@ impl ShardedRuntime {
                         self.partition.register_pool(pool, token_a, token_b, owner);
                         self.pending_retires.push((pool, owner));
                         self.pool_slots += 1;
-                        self.pool_weights.push(1);
-                        self.shard_window_events[owner] += 1;
+                        self.shard_events[owner] += 1;
                     }
                 }
             }
@@ -676,8 +605,7 @@ impl ShardedRuntime {
                     return Err(EngineError::Desync("event for a pool no shard owns"));
                 };
                 self.stats.events_routed += 1;
-                self.pool_weights[pool.index()] += 1;
-                self.shard_window_events[shard] += 1;
+                self.shard_events[shard] += 1;
                 self.shards[shard].queue.push(*event);
             }
             // `Event` is non-exhaustive; unknown variants carry no pool
@@ -764,7 +692,6 @@ impl ShardedRuntime {
         );
         self.replace_fleet(&graph, Partition::new(&graph, self.max_shards))?;
         self.pool_slots = graph.pool_count();
-        self.reset_window();
         Ok(())
     }
 
@@ -808,78 +735,20 @@ impl ShardedRuntime {
         }
         self.shards = shards;
         self.partition = partition;
+        self.shard_events = vec![0; self.shards.len()];
         Ok(())
     }
 
-    /// Clears the rolling load window (after a rebuild, rebalance, or
-    /// completed observation interval).
-    fn reset_window(&mut self) {
-        self.pool_weights.clear();
-        self.pool_weights.resize(self.pool_slots, 0);
-        self.shard_window_events.clear();
-        self.shard_window_events.resize(self.shards.len(), 0);
-        self.window_ticks = 0;
-    }
-
-    /// End-of-tick adaptive rebalance check. Purely a function of the
-    /// journaled event stream — per-pool routed-event counts over the
-    /// last `interval_ticks` ticks — so replaying the same events always
-    /// yields the same split/steal decisions, and because every shard
-    /// re-evaluates from reserves + feed after a repartition the merged
-    /// ranking is bit-identical whether or not (and whenever) a
-    /// rebalance fires.
-    fn maybe_rebalance<F: PriceFeed + Sync>(&mut self, feed: &F) -> Result<(), EngineError> {
-        if !self.rebalance.enabled {
-            return Ok(());
-        }
-        self.window_ticks += 1;
-        if self.window_ticks < self.rebalance.interval_ticks.max(1) {
-            return Ok(());
-        }
-        let total: u64 = self.shard_window_events.iter().sum();
-        let max = self.shard_window_events.iter().copied().max().unwrap_or(0);
-        let mean = total as f64 / self.shard_window_events.len().max(1) as f64;
-        // One shard hogging the fleet (a dominant component pinned to a
-        // single engine) or a measurably skewed spread both trigger; a
-        // quiet window never does.
-        let saturated = self.shards.len() == 1 && self.max_shards > 1;
-        let skewed = self.shards.len() > 1 && max as f64 > self.rebalance.skew_threshold * mean;
-        if total >= self.rebalance.min_window_events && (saturated || skewed) {
-            self.rebalance_now(feed)?;
-        }
-        self.reset_window();
-        Ok(())
-    }
-
-    /// Repartitions around the merged live state using the window's
-    /// per-pool event counts as weights and splitting the dominant
-    /// component along bridge boundaries. A no-op (and not counted) when
-    /// the weighted partition matches the current one.
-    fn rebalance_now<F: PriceFeed + Sync>(&mut self, feed: &F) -> Result<(), EngineError> {
-        let graph = self.merged_graph()?;
-        let candidate = Partition::new_weighted(&graph, self.max_shards, &self.pool_weights, true);
-        if candidate == self.partition {
-            return Ok(());
-        }
-        self.replace_fleet(&graph, candidate)?;
-        self.stats.rebalances += 1;
-        // Cold-refresh the new fleet: queues are empty, so this is pure
-        // re-evaluation of standing cycles against current reserves.
-        self.flush(feed)
-    }
-
-    /// Per-shard load picture for the current observation window:
-    /// routed events and cumulative evaluations per shard, plus the
-    /// lifetime rebalance count.
+    /// Per-shard load picture of the current fleet: routed events and
+    /// evaluations per shard since the last repartition.
     pub fn shard_loads(&self) -> ShardLoads {
         ShardLoads {
-            window_events: self.shard_window_events.clone(),
+            routed_events: self.shard_events.clone(),
             evaluations: self
                 .shards
                 .iter()
                 .map(|s| s.engine.stats().cycles_evaluated)
                 .collect(),
-            rebalances: self.stats.rebalances,
         }
     }
 
@@ -968,10 +837,7 @@ impl ShardedRuntime {
             max_shards: checkpoint.max_shards,
             pending_retires: Vec::new(),
             banked: StreamStats::default(),
-            rebalance: RebalanceConfig::default(),
-            pool_weights: vec![0; pool_slots],
-            shard_window_events: vec![0; shards.len()],
-            window_ticks: 0,
+            shard_events: vec![0; shards.len()],
             revision: 0,
             shards,
             stats: RuntimeStats::default(),
@@ -1211,6 +1077,8 @@ mod tests {
         let report = runtime.apply_events(&[bridge], &feed).unwrap();
         assert_eq!(report.stats.rebuilds, 1, "{}", report.stats);
         assert_matches_single(&runtime, &single, &report.opportunities);
+        // The new fleet's load picture starts from zero.
+        assert_eq!(runtime.shard_loads().routed_events, vec![0; 2]);
 
         // Follow-up syncs keep working against the repartitioned runtime.
         let batch = [sync(7, 110.0, 1_900.0), sync(0, 101.0, 199.0)];
@@ -1429,124 +1297,8 @@ mod tests {
         assert!(matches!(err, EngineError::Graph(_)), "{err:?}");
     }
 
-    /// Two triangles joined by a bridge pool: one connected component,
-    /// so [`Partition::new`] pins everything to a single shard until an
-    /// adaptive rebalance splits it at the bridge.
-    fn dumbbell_pools() -> Vec<Pool> {
-        let fee = FeeRate::UNISWAP_V2;
-        vec![
-            Pool::new(t(0), t(1), 100.0, 200.0, fee).unwrap(),
-            Pool::new(t(1), t(2), 300.0, 200.0, fee).unwrap(),
-            Pool::new(t(2), t(0), 200.0, 400.0, fee).unwrap(),
-            Pool::new(t(2), t(3), 500.0, 500.0, fee).unwrap(),
-            Pool::new(t(3), t(4), 1_000.0, 1_080.0, fee).unwrap(),
-            Pool::new(t(4), t(5), 1_000.0, 1_000.0, fee).unwrap(),
-            Pool::new(t(5), t(3), 1_000.0, 1_000.0, fee).unwrap(),
-        ]
-    }
-
-    /// A hot stream concentrated on the paper triangle's side of the
-    /// dumbbell, enough to trip any window threshold.
-    fn dumbbell_hot_stream() -> Vec<Vec<Event>> {
-        (0..4)
-            .map(|tick| {
-                vec![
-                    sync(0, 100.0 + tick as f64, 200.0 - tick as f64),
-                    sync(1, 300.0 - tick as f64, 200.0 + tick as f64),
-                    sync(4, 1_000.0, 1_080.0 + tick as f64),
-                ]
-            })
-            .collect()
-    }
-
     #[test]
-    fn rebalance_splits_saturated_component_and_stays_equivalent() {
-        let feed = island_feed();
-        let config = RebalanceConfig {
-            interval_ticks: 1,
-            min_window_events: 1,
-            ..RebalanceConfig::enabled()
-        };
-        let mut runtime = ShardedRuntime::new(OpportunityPipeline::default(), dumbbell_pools(), 3)
-            .unwrap()
-            .with_rebalance(config);
-        let mut single =
-            StreamingEngine::new(OpportunityPipeline::default(), dumbbell_pools()).unwrap();
-        assert_eq!(runtime.shard_count(), 1, "one component pins one shard");
-
-        single.refresh(&feed).unwrap();
-        runtime.refresh(&feed).unwrap();
-        let mut last = Vec::new();
-        for batch in dumbbell_hot_stream() {
-            single.apply_events(&batch, &feed).unwrap();
-            last = runtime.apply_events(&batch, &feed).unwrap().opportunities;
-            assert_matches_single(&runtime, &single, &last);
-        }
-        assert!(runtime.stats().rebalances >= 1, "{}", runtime.stats());
-        assert_eq!(runtime.shard_count(), 2, "split at the bridge pool");
-        assert_eq!(
-            runtime.partition().shard_of_pool(p(0)),
-            runtime.partition().shard_of_pool(p(3)),
-            "the bridge rides with its token_a block"
-        );
-        assert_ne!(
-            runtime.partition().shard_of_pool(p(0)),
-            runtime.partition().shard_of_pool(p(4))
-        );
-        assert_eq!(last.len(), 2, "both triangles still arb");
-    }
-
-    #[test]
-    fn rebalance_disabled_by_default() {
-        let feed = island_feed();
-        let mut runtime =
-            ShardedRuntime::new(OpportunityPipeline::default(), dumbbell_pools(), 3).unwrap();
-        runtime.refresh(&feed).unwrap();
-        for batch in dumbbell_hot_stream() {
-            runtime.apply_events(&batch, &feed).unwrap();
-        }
-        assert_eq!(runtime.stats().rebalances, 0);
-        assert_eq!(runtime.shard_count(), 1);
-    }
-
-    #[test]
-    fn rebalance_decisions_are_deterministic_across_reruns() {
-        let feed = island_feed();
-        let config = RebalanceConfig {
-            interval_ticks: 2,
-            min_window_events: 4,
-            ..RebalanceConfig::enabled()
-        };
-        let run = || {
-            let mut runtime =
-                ShardedRuntime::new(OpportunityPipeline::default(), dumbbell_pools(), 3)
-                    .unwrap()
-                    .with_rebalance(config);
-            runtime.refresh(&feed).unwrap();
-            let mut last = Vec::new();
-            for batch in dumbbell_hot_stream() {
-                last = runtime.apply_events(&batch, &feed).unwrap().opportunities;
-            }
-            let owners: Vec<usize> = (0..runtime.pool_slots)
-                .map(|i| runtime.partition().shard_of_pool(p(i as u32)).unwrap())
-                .collect();
-            (runtime.stats().rebalances, owners, last)
-        };
-        let (rebalances_a, owners_a, ranked_a) = run();
-        let (rebalances_b, owners_b, ranked_b) = run();
-        assert_eq!(rebalances_a, rebalances_b);
-        assert_eq!(owners_a, owners_b);
-        assert_eq!(ranked_a.len(), ranked_b.len());
-        for (x, y) in ranked_a.iter().zip(&ranked_b) {
-            assert_eq!(
-                x.net_profit.value().to_bits(),
-                y.net_profit.value().to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn shard_loads_reports_window_and_display_one_liner() {
+    fn shard_loads_reports_routed_events_and_display_one_liner() {
         let feed = island_feed();
         let mut runtime =
             ShardedRuntime::new(OpportunityPipeline::default(), island_pools(), 3).unwrap();
@@ -1555,9 +1307,8 @@ mod tests {
             .apply_events(&[sync(0, 101.0, 199.0), sync(1, 299.0, 201.0)], &feed)
             .unwrap();
         let loads = runtime.shard_loads();
-        assert_eq!(loads.window_events.len(), 3);
-        assert_eq!(loads.window_events.iter().sum::<u64>(), 2);
-        assert_eq!(loads.rebalances, 0);
+        assert_eq!(loads.routed_events.len(), 3);
+        assert_eq!(loads.routed_events.iter().sum::<u64>(), 2);
         assert!(loads.evaluations.iter().sum::<usize>() > 0);
         assert!(loads.skew() >= 1.0);
         let line = loads.to_string();

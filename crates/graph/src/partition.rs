@@ -15,15 +15,6 @@
 //! least-loaded shard, which is within a factor of the optimum for the
 //! typical DEX shape (one giant hub component plus a tail of islands) and
 //! — more importantly here — fully deterministic.
-//!
-//! [`Partition::new_weighted`] extends the same scheme for adaptive
-//! rebalancing: placement units are weighted by observed per-pool load
-//! instead of raw pool counts, and when one **dominant component** holds
-//! more than its fair share of the weight it is split along *bridge*
-//! boundaries. A bridge pool — one whose removal disconnects its
-//! component — belongs to **no** simple cycle, so cutting at bridges
-//! keeps every cycle whole inside a single placement unit: the 2-edge-
-//! connected blocks are as cycle-safe to shard by as whole components.
 
 use arb_amm::pool::PoolId;
 use arb_amm::token::TokenId;
@@ -47,39 +38,12 @@ impl Partition {
     /// never splitting a connected component. The realized shard count is
     /// `min(max_shards, component count)`; `max_shards == 0` is treated
     /// as 1.
+    ///
+    /// The result is a pure function of `(graph, max_shards)` — no
+    /// randomness, no iteration-order dependence — so identical inputs
+    /// (e.g. a replayed event journal) always yield the identical
+    /// partition.
     pub fn new(graph: &TokenGraph, max_shards: usize) -> Self {
-        // Unit weights and no splitting reproduce the classic
-        // largest-component-first greedy placement exactly.
-        Self::new_weighted(graph, max_shards, &[], false)
-    }
-
-    /// Partitions `graph`'s pool slots with per-slot load weights
-    /// (`weights[p]` = observed load of pool slot `p`; missing entries
-    /// count as zero — every slot also carries an implicit weight of 1 so
-    /// cold components still spread by size).
-    ///
-    /// Placement units are connected components, placed heaviest-first on
-    /// the least-loaded shard. With `split_dominant` set, a **dominant
-    /// component** — one holding more than `total_weight / max_shards`,
-    /// i.e. more than a perfectly balanced shard's share — is first split
-    /// into its 2-edge-connected blocks along bridge boundaries. Bridge
-    /// pools belong to no simple cycle (removing one disconnects the
-    /// component), so every cycle's pools stay inside one block and
-    /// block-level sharding preserves the per-shard cycle-universe
-    /// invariant the sharded runtime relies on. Each bridge pool is
-    /// deterministically assigned to the block owning its `token_a`
-    /// endpoint.
-    ///
-    /// The result is a pure function of `(graph, max_shards, weights,
-    /// split_dominant)` — no randomness, no iteration-order dependence —
-    /// so identical inputs (e.g. a replayed event journal) always yield
-    /// the identical partition.
-    pub fn new_weighted(
-        graph: &TokenGraph,
-        max_shards: usize,
-        weights: &[u64],
-        split_dominant: bool,
-    ) -> Self {
         let pool_count = graph.pool_count();
         let token_count = graph.token_count();
 
@@ -121,83 +85,32 @@ impl Partition {
             component_pools[component].push(PoolId::new(index as u32));
         }
 
-        // Placement units: (pools, weight, tiebreak token). Start with
-        // whole components.
-        let weight_of = |pools: &[PoolId]| -> u64 {
-            pools
-                .iter()
-                .map(|p| 1 + weights.get(p.index()).copied().unwrap_or(0))
-                .sum()
-        };
-        let mut units: Vec<(Vec<PoolId>, u64, usize)> = component_pools
-            .into_iter()
-            .zip(component_roots)
-            .map(|(pools, root)| {
-                let weight = weight_of(&pools);
-                (pools, weight, root)
-            })
-            .collect();
-
-        // Hot-shard splitting: when one component outweighs a perfectly
-        // balanced shard's share, cut it at bridge boundaries so its
-        // blocks can spread across engines.
-        if split_dominant && max_shards > 1 && !units.is_empty() {
-            let total: u64 = units.iter().map(|u| u.1).sum();
-            let dominant = (0..units.len())
-                .min_by_key(|&i| (std::cmp::Reverse(units[i].1), units[i].2))
-                .expect("units is non-empty");
-            if units[dominant].1 * max_shards as u64 > total {
-                let blocks = bridge_blocks(graph, &units[dominant].0);
-                if blocks.len() > 1 {
-                    let (pools, _, _) = units.swap_remove(dominant);
-                    debug_assert_eq!(
-                        blocks.iter().map(Vec::len).sum::<usize>(),
-                        pools.len(),
-                        "blocks repartition the component exactly"
-                    );
-                    for block in blocks {
-                        let weight = weight_of(&block);
-                        let tiebreak = block
-                            .iter()
-                            .flat_map(|p| {
-                                let pool = &graph.pools()[p.index()];
-                                [pool.token_a().index(), pool.token_b().index()]
-                            })
-                            .min()
-                            .expect("blocks are non-empty");
-                        units.push((block, weight, tiebreak));
-                    }
-                }
-            }
-        }
-
-        // Heaviest unit first; ties broken by smallest token index so the
-        // order is a pure function of the graph + weights.
-        units.sort_by_key(|(_, weight, tiebreak)| (std::cmp::Reverse(*weight), *tiebreak));
+        // Largest component first; ties broken by the component's
+        // smallest token index so the order is a pure function of the
+        // graph.
+        let mut units: Vec<(Vec<PoolId>, usize)> =
+            component_pools.into_iter().zip(component_roots).collect();
+        units.sort_by_key(|(pools, root)| (std::cmp::Reverse(pools.len()), *root));
 
         let shard_count = max_shards.max(1).min(units.len().max(1));
         let mut members: Vec<Vec<PoolId>> = vec![Vec::new(); shard_count];
-        let mut loads: Vec<u64> = vec![0; shard_count];
         let mut shard_of_pool = vec![0usize; pool_count];
-        for (pools, weight, _) in units {
+        for (pools, _) in units {
             let shard = (0..shard_count)
-                .min_by_key(|&s| (loads[s], s))
+                .min_by_key(|&s| (members[s].len(), s))
                 .expect("at least one shard");
             for &pool in &pools {
                 shard_of_pool[pool.index()] = shard;
             }
-            loads[shard] += weight;
             members[shard].extend(pools);
         }
         for shard in &mut members {
             shard.sort_by_key(|p| p.index());
         }
 
-        // Token ownership: claim both tokens of every slot in slot order
-        // (last claim wins) — exactly how `from_assignments` re-derives
-        // it, so checkpoint round trips reproduce the partition
-        // bit-for-bit even when a split component shares bridge tokens
-        // between shards.
+        // Token ownership: claim both tokens of every slot in slot order —
+        // exactly how `from_assignments` re-derives it, so checkpoint
+        // round trips reproduce the partition bit-for-bit.
         let mut shard_of_token = vec![None; token_count];
         for (index, &shard) in shard_of_pool.iter().enumerate() {
             let pool = &graph.pools()[index];
@@ -304,109 +217,6 @@ impl Partition {
         self.shard_of_token[b.index()] = Some(shard);
         self.members[shard].push(pool);
     }
-}
-
-/// Splits one connected component (given as its pool slots, ascending)
-/// into 2-edge-connected blocks: bridge edges are found with an
-/// iterative low-link DFS over the token multigraph, then blocks are the
-/// connected components of the non-bridge edges. Each bridge pool joins
-/// the block holding its `token_a` endpoint. Parallel pools between the
-/// same token pair are distinct edges (so neither is a bridge), which the
-/// per-edge parent check handles. Fully deterministic: adjacency is
-/// built in slot order and the DFS starts from the smallest token.
-fn bridge_blocks(graph: &TokenGraph, pools: &[PoolId]) -> Vec<Vec<PoolId>> {
-    // Local node numbering in first-appearance (slot) order.
-    let mut local: Vec<Option<usize>> = vec![None; graph.token_count()];
-    let mut adjacency: Vec<Vec<(usize, usize)>> = Vec::new();
-    let mut endpoints: Vec<(usize, usize)> = Vec::with_capacity(pools.len());
-    for (edge, &pid) in pools.iter().enumerate() {
-        let pool = &graph.pools()[pid.index()];
-        let mut node = |token: usize, adjacency: &mut Vec<Vec<(usize, usize)>>| {
-            *local[token].get_or_insert_with(|| {
-                adjacency.push(Vec::new());
-                adjacency.len() - 1
-            })
-        };
-        let a = node(pool.token_a().index(), &mut adjacency);
-        let b = node(pool.token_b().index(), &mut adjacency);
-        adjacency[a].push((b, edge));
-        adjacency[b].push((a, edge));
-        endpoints.push((a, b));
-    }
-
-    // Iterative bridge-finding DFS (low-link). `parent_edge` is the edge
-    // used to enter a node: skipping that *edge* (not the vertex) keeps
-    // parallel edges from being misclassified as bridges.
-    let n = adjacency.len();
-    let mut disc = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut is_bridge = vec![false; pools.len()];
-    let mut timer = 0usize;
-    for start in 0..n {
-        if disc[start] != usize::MAX {
-            continue;
-        }
-        disc[start] = timer;
-        low[start] = timer;
-        timer += 1;
-        let mut stack: Vec<(usize, usize, usize)> = vec![(start, usize::MAX, 0)];
-        while let Some(&(u, parent_edge, next)) = stack.last() {
-            if let Some(&(v, edge)) = adjacency[u].get(next) {
-                stack.last_mut().expect("stack is non-empty").2 += 1;
-                if edge == parent_edge {
-                    continue;
-                }
-                if disc[v] == usize::MAX {
-                    disc[v] = timer;
-                    low[v] = timer;
-                    timer += 1;
-                    stack.push((v, edge, 0));
-                } else {
-                    low[u] = low[u].min(disc[v]);
-                }
-            } else {
-                stack.pop();
-                if let Some(&(p, _, _)) = stack.last() {
-                    low[p] = low[p].min(low[u]);
-                    if low[u] > disc[p] {
-                        is_bridge[parent_edge] = true;
-                    }
-                }
-            }
-        }
-    }
-
-    // Blocks: union non-bridge edge endpoints, then bucket pools by the
-    // block of their (token_a for bridges) endpoint, numbering blocks in
-    // slot order of first appearance.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for (edge, &(a, b)) in endpoints.iter().enumerate() {
-        if !is_bridge[edge] {
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb {
-                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                parent[hi] = lo;
-            }
-        }
-    }
-    let mut block_of_root: Vec<Option<usize>> = vec![None; n];
-    let mut blocks: Vec<Vec<PoolId>> = Vec::new();
-    for (edge, &pid) in pools.iter().enumerate() {
-        let root = find(&mut parent, endpoints[edge].0);
-        let block = *block_of_root[root].get_or_insert_with(|| {
-            blocks.push(Vec::new());
-            blocks.len() - 1
-        });
-        blocks[block].push(pid);
-    }
-    blocks
 }
 
 #[cfg(test)]
@@ -564,125 +374,6 @@ mod tests {
             Err(crate::GraphError::InvalidCheckpoint(_))
         ));
         assert!(Partition::from_assignments(&graph, &owners, 1).is_ok());
-    }
-
-    /// One component shaped as two triangles joined by a single bridge
-    /// pool: `t0-t1-t2` (pools 0-2), bridge `t2-t3` (pool 3), `t3-t4-t5`
-    /// (pools 4-6).
-    fn bridged_dumbbell() -> TokenGraph {
-        let fee = FeeRate::UNISWAP_V2;
-        TokenGraph::new(vec![
-            Pool::new(t(0), t(1), 100.0, 200.0, fee).unwrap(),
-            Pool::new(t(1), t(2), 300.0, 200.0, fee).unwrap(),
-            Pool::new(t(2), t(0), 200.0, 400.0, fee).unwrap(),
-            Pool::new(t(2), t(3), 50.0, 50.0, fee).unwrap(),
-            Pool::new(t(3), t(4), 10.0, 10.0, fee).unwrap(),
-            Pool::new(t(4), t(5), 10.0, 10.0, fee).unwrap(),
-            Pool::new(t(5), t(3), 10.0, 10.0, fee).unwrap(),
-        ])
-        .unwrap()
-    }
-
-    #[test]
-    fn unweighted_and_weighted_unit_paths_agree() {
-        let graph = three_islands();
-        for shards in 1..=4 {
-            assert_eq!(
-                Partition::new(&graph, shards),
-                Partition::new_weighted(&graph, shards, &[], false),
-            );
-        }
-    }
-
-    #[test]
-    fn dominant_component_splits_at_the_bridge() {
-        let graph = bridged_dumbbell();
-        // Without splitting, the single component pins everything to one
-        // shard regardless of the cap.
-        let whole = Partition::new(&graph, 2);
-        assert_eq!(whole.shard_count(), 1);
-
-        // With splitting, the bridge separates the two triangles; the
-        // bridge pool itself follows its `token_a` (t2) side.
-        let split = Partition::new_weighted(&graph, 2, &[], true);
-        assert_eq!(split.shard_count(), 2);
-        let left = split.shard_of_pool(p(0)).unwrap();
-        for pool in [1, 2, 3] {
-            assert_eq!(split.shard_of_pool(p(pool)), Some(left), "pool {pool}");
-        }
-        let right = split.shard_of_pool(p(4)).unwrap();
-        assert_ne!(left, right);
-        for pool in [5, 6] {
-            assert_eq!(split.shard_of_pool(p(pool)), Some(right), "pool {pool}");
-        }
-        // No cycle crosses the cut: every 3-cycle's pools share a shard.
-        for cycle in [[0u32, 1, 2], [4, 5, 6]] {
-            let owner = split.shard_of_pool(p(cycle[0]));
-            for &pool in &cycle {
-                assert_eq!(split.shard_of_pool(p(pool)), owner);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_pools_are_never_bridges() {
-        let fee = FeeRate::UNISWAP_V2;
-        // Two parallel pools between t0-t1, then a genuine bridge to a
-        // triangle. The parallel pair is 2-edge-connected (a 2-cycle runs
-        // through it), so only the t1-t2 pool may be cut.
-        let graph = TokenGraph::new(vec![
-            Pool::new(t(0), t(1), 100.0, 100.0, fee).unwrap(),
-            Pool::new(t(0), t(1), 90.0, 110.0, fee).unwrap(),
-            Pool::new(t(1), t(2), 50.0, 50.0, fee).unwrap(),
-            Pool::new(t(2), t(3), 10.0, 10.0, fee).unwrap(),
-            Pool::new(t(3), t(4), 10.0, 10.0, fee).unwrap(),
-            Pool::new(t(4), t(2), 10.0, 10.0, fee).unwrap(),
-        ])
-        .unwrap();
-        let split = Partition::new_weighted(&graph, 2, &[], true);
-        assert_eq!(split.shard_count(), 2);
-        // The 2-cycle through the parallel pair stays whole.
-        assert_eq!(split.shard_of_pool(p(0)), split.shard_of_pool(p(1)));
-        // The triangle stays whole.
-        assert_eq!(split.shard_of_pool(p(3)), split.shard_of_pool(p(4)));
-        assert_eq!(split.shard_of_pool(p(4)), split.shard_of_pool(p(5)));
-    }
-
-    #[test]
-    fn weights_steer_the_greedy_placement() {
-        let graph = three_islands();
-        // Make the single pair (pool 6) hotter than both triangles
-        // combined: it must land alone on its own shard.
-        let mut weights = vec![0u64; graph.pool_count()];
-        weights[6] = 100;
-        let partition = Partition::new_weighted(&graph, 2, &weights, false);
-        assert_eq!(partition.shard_count(), 2);
-        let hot = partition.shard_of_pool(p(6)).unwrap();
-        for pool in 0..6 {
-            assert_ne!(partition.shard_of_pool(p(pool)), Some(hot), "pool {pool}");
-        }
-    }
-
-    #[test]
-    fn weighted_split_is_deterministic_across_calls() {
-        let graph = bridged_dumbbell();
-        let weights: Vec<u64> = (0..graph.pool_count() as u64).map(|i| i * 3 % 7).collect();
-        assert_eq!(
-            Partition::new_weighted(&graph, 3, &weights, true),
-            Partition::new_weighted(&graph, 3, &weights, true),
-        );
-    }
-
-    #[test]
-    fn split_partitions_round_trip_through_assignments() {
-        let graph = bridged_dumbbell();
-        let partition = Partition::new_weighted(&graph, 2, &[], true);
-        let owners: Vec<usize> = (0..graph.pool_count())
-            .map(|i| partition.shard_of_pool(p(i as u32)).unwrap())
-            .collect();
-        let restored =
-            Partition::from_assignments(&graph, &owners, partition.shard_count()).unwrap();
-        assert_eq!(restored, partition);
     }
 
     #[test]

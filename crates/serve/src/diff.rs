@@ -39,7 +39,7 @@ pub struct RankingDelta {
 
 impl RankingDelta {
     /// Whether the delta carries no change (revision advanced with an
-    /// identical ranking — e.g. a rebalance that reshuffled shards but
+    /// identical ranking — e.g. a repartition that reshuffled shards but
     /// not priorities).
     #[must_use]
     pub fn is_noop(&self) -> bool {

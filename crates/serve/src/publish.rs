@@ -201,7 +201,7 @@ pub struct PublishStats {
     /// had not moved.
     pub skipped: u64,
     /// Published deltas that carried no ranking change (revision moved
-    /// but the merged order was bit-identical, e.g. after a rebalance).
+    /// but the merged order was bit-identical, e.g. after a restore).
     pub noop_deltas: u64,
 }
 
@@ -210,7 +210,7 @@ pub struct PublishStats {
 /// Exactly one `Publisher` exists per serving runtime; it is `Send` but
 /// deliberately not `Clone`. Readers attach through
 /// [`Publisher::handle`] / [`Publisher::subscribe`] and stay valid for
-/// the cell's lifetime, across rebalances and checkpoint/restore.
+/// the cell's lifetime, across repartitions and checkpoint/restore.
 #[derive(Debug)]
 pub struct Publisher {
     cell: Arc<SnapshotCell>,

@@ -2,9 +2,10 @@
 //!
 //! Noise traders and liquidity providers push pools out of line each
 //! block; a CEX drifts token prices; the bot consumes the chain's
-//! `Sync`/`Swap` event stream, applies the deltas to its persistent
-//! graph + cycle index, re-evaluates only the loops each block touched,
-//! and executes atomically via flash bundles. Its PnL can only grow —
+//! `Sync`/`Swap` event stream, routes the deltas to the sharded
+//! runtime's per-component engines (each a persistent graph + cycle
+//! index), re-evaluates only the loops each block touched, and executes
+//! atomically via flash bundles. Its PnL can only grow —
 //! bundles revert unless they settle non-negative.
 //!
 //! ```text
@@ -21,9 +22,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         num_pools: 24,
         trader_max_fraction: 0.04,
         bot: BotConfig {
-            // Event-driven scanning is the default; spelled out here
-            // because this example is the streaming path's showcase.
-            mode: ScanMode::Streaming,
             strategy: StrategyChoice::MaxMax,
             min_profit_usd: 0.25,
             ..BotConfig::default()

@@ -77,7 +77,7 @@ pub mod prelude {
     };
     pub use arb_bot::{
         sim::{MarketSim, MarketSimConfig},
-        ArbBot, BotConfig, IngestBot, JournalSettings, ObsConfig, ScanMode, StrategyChoice,
+        ArbBot, BotConfig, IngestBot, JournalSettings, ObsConfig, StrategyChoice,
     };
     pub use arb_cex::feed::{PriceFeed, PriceTable};
     pub use arb_chaos::{
@@ -103,9 +103,9 @@ pub mod prelude {
     };
     pub use arb_engine::{
         ArbitrageOpportunity, EngineCheckpoint, EngineError, OpportunityPipeline, PipelineConfig,
-        PipelineReport, RankingPolicy, RebalanceConfig, RuntimeCheckpoint, RuntimeReport,
-        RuntimeStats, ScreenTotals, ShardLoads, ShardedRuntime, StreamReport, StreamStats,
-        StreamingEngine, TickHook,
+        PipelineReport, RankingPolicy, RuntimeCheckpoint, RuntimeReport, RuntimeStats,
+        ScreenTotals, ShardLoads, ShardedRuntime, StreamReport, StreamStats, StreamingEngine,
+        TickHook,
     };
     pub use arb_graph::{Cycle, CycleId, CycleIndex, Partition, SyncOutcome, TokenGraph};
     pub use arb_ingest::{

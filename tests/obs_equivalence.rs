@@ -99,10 +99,7 @@ fn assert_stream_stats_mirrored(snapshot: &RegistrySnapshot, stats: &StreamStats
 
 #[test]
 fn streaming_bot_registry_reproduces_stream_stats_without_perturbing_decisions() {
-    let config = BotConfig {
-        mode: ScanMode::Streaming,
-        ..BotConfig::default()
-    };
+    let config = BotConfig::default();
     let feed = paper_feed();
 
     let run = |instrument: bool| {
@@ -120,7 +117,7 @@ fn streaming_bot_registry_reproduces_stream_stats_without_perturbing_decisions()
             actions.push(action_bits(&action));
             chain.mine_block();
         }
-        let stats = *bot.stream_stats().expect("streaming mode ran");
+        let stats = bot.stream_stats().expect("the market view ran");
         let snapshot = bot.metrics_snapshot();
         let metrics = bot.metrics();
         (actions, stats, snapshot, metrics)

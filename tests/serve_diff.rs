@@ -2,10 +2,11 @@
 //!
 //! A subscriber that attaches mid-run and applies every delta it is
 //! pushed must hold, at all times, a ranking bit-identical to the
-//! latest published [`RankedSnapshot`] — including across an adaptive
-//! rebalance (shards reshuffle, ranking may not move → noop delta) and
-//! a checkpoint/restore (the runtime's revision counter restarts, the
-//! publisher re-anchors, readers and subscriptions stay attached).
+//! latest published [`RankedSnapshot`] — including across a
+//! repartition (a bridge pool merges two shards' components and the
+//! fleet is rebuilt from cold) and a checkpoint/restore (the runtime's
+//! revision counter restarts, the publisher re-anchors, readers and
+//! subscriptions stay attached).
 
 use arbloops::prelude::*;
 use arbloops::serve::{apply, GovernorConfig, ServeRuntime, SubscriptionUpdate};
@@ -26,39 +27,32 @@ fn fingerprint(entries: &[ArbitrageOpportunity]) -> Fingerprint {
         .collect()
 }
 
-fn aggressive() -> RebalanceConfig {
-    RebalanceConfig {
-        interval_ticks: 2,
-        skew_threshold: 1.05,
-        min_window_events: 4,
-        ..RebalanceConfig::enabled()
-    }
-}
-
-fn config(seed: u64) -> ScenarioConfig {
+fn config(seed: u64, ticks: usize) -> ScenarioConfig {
     ScenarioConfig {
         seed,
         domains: 4,
         num_tokens: 20,
         num_pools: 40,
-        ticks: 24,
+        ticks,
         intensity: 1.0,
     }
 }
 
 /// Drives one workload through a serving runtime with a mid-run
 /// subscriber, applying deltas every tick and checkpoint/restoring at
-/// `restore_at`. Returns (rebalances, deltas applied, noop deltas).
-fn replay(workload: &'static str, seed: u64) -> (usize, usize, u64) {
+/// `restore_at`. Returns (repartitions while the subscriber was
+/// attached, deltas applied, noop deltas).
+fn replay(workload: &'static str, seed: u64, ticks: usize) -> (usize, usize, u64) {
     let spec = arbloops::workloads::find(workload).expect("workload in catalog");
-    let scenario = spec.scenario(&config(seed)).expect("scenario generates");
+    let scenario = spec
+        .scenario(&config(seed, ticks))
+        .expect("scenario generates");
     let mut feed = scenario.feed.clone();
     let subscribe_at = scenario.ticks.len() / 4;
     let restore_at = scenario.ticks.len() / 2;
 
     let runtime = ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 4)
-        .expect("runtime")
-        .with_rebalance(aggressive());
+        .expect("runtime");
     let mut serve = ServeRuntime::new(runtime, GovernorConfig::default());
     serve.refresh(&feed).expect("cold start");
 
@@ -66,6 +60,9 @@ fn replay(workload: &'static str, seed: u64) -> (usize, usize, u64) {
     let mut subscription = None;
     let mut view: Vec<ArbitrageOpportunity> = Vec::new();
     let mut deltas_applied = 0usize;
+    // Repartitions while subscribed; a restore restarts the counter.
+    let mut rebuilds = 0usize;
+    let mut rebuilds_at = 0usize;
 
     for (tick, batch) in scenario.ticks.iter().enumerate() {
         if tick == subscribe_at {
@@ -77,15 +74,17 @@ fn replay(workload: &'static str, seed: u64) -> (usize, usize, u64) {
             };
             view = base.entries().to_vec();
             subscription = Some(sub);
+            rebuilds_at = serve.runtime().stats().rebuilds;
         }
         if tick == restore_at {
             // Checkpoint/restore the compute side; the serving side
             // (cell, handles, subscription) survives the swap.
             let (runtime, publisher) = serve.into_parts();
+            rebuilds += runtime.stats().rebuilds - rebuilds_at;
+            rebuilds_at = 0;
             let checkpoint = runtime.checkpoint();
             let restored = ShardedRuntime::restore(OpportunityPipeline::default(), &checkpoint)
-                .expect("restore")
-                .with_rebalance(aggressive());
+                .expect("restore");
             serve = ServeRuntime::with_publisher(restored, publisher);
         }
         batch.apply_feed(&mut feed);
@@ -116,26 +115,25 @@ fn replay(workload: &'static str, seed: u64) -> (usize, usize, u64) {
         }
     }
 
-    let rebalances = serve.runtime().stats().rebalances;
-    (
-        rebalances,
-        deltas_applied,
-        serve.publish_stats().noop_deltas,
-    )
+    rebuilds += serve.runtime().stats().rebuilds - rebuilds_at;
+    (rebuilds, deltas_applied, serve.publish_stats().noop_deltas)
 }
 
 #[test]
-fn deltas_reconstruct_across_rebalance_and_restore() {
-    let mut total_rebalances = 0usize;
+fn deltas_reconstruct_across_rebuild_and_restore() {
+    let mut total_rebuilds = 0usize;
     let mut total_deltas = 0usize;
     for (i, spec) in arbloops::workloads::catalog().iter().enumerate() {
-        let (rebalances, deltas, _noops) = replay(spec.name, 4_242 + i as u64);
-        total_rebalances += rebalances;
+        // `pool-churn` runs long enough for its rare cross-domain bridge
+        // pools to force repartitions while the subscriber is attached.
+        let ticks = if spec.name == "pool-churn" { 96 } else { 24 };
+        let (rebuilds, deltas, _noops) = replay(spec.name, 4_242 + i as u64, ticks);
+        total_rebuilds += rebuilds;
         total_deltas += deltas;
     }
     assert!(
-        total_rebalances > 0,
-        "no workload rebalanced — the across-rebalance claim is vacuous"
+        total_rebuilds > 0,
+        "no workload repartitioned — the across-rebuild claim is vacuous"
     );
     assert!(
         total_deltas > 0,
@@ -150,7 +148,7 @@ fn deltas_reconstruct_across_rebalance_and_restore() {
 #[test]
 fn restore_publishes_a_noop_delta_when_ranking_is_stable() {
     let spec = arbloops::workloads::find("steady-sparse").expect("in catalog");
-    let scenario = spec.scenario(&config(7_777)).expect("scenario");
+    let scenario = spec.scenario(&config(7_777, 24)).expect("scenario");
     let mut feed = scenario.feed.clone();
     let runtime = ShardedRuntime::new(OpportunityPipeline::default(), scenario.pools.clone(), 4)
         .expect("runtime");
